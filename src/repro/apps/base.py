@@ -70,10 +70,7 @@ class App:
     #: *allocations* are small — the sub-1-MiB mass of Figure 4).
     ipc_regions = 7
 
-    #: Display pacing. Experiments may override this per app; the
-    #: fast-forward controller uses it as the anchor period, so an app
-    #: whose period is off the dyadic grid (the real 1000/60 default)
-    #: simply never engages the skip — correct, just not accelerated.
+    #: Display pacing. Experiments may override this per app.
     vsync_period = VSYNC_PERIOD_MS
 
     # -- harness API --------------------------------------------------------
@@ -91,26 +88,6 @@ class App:
             self._spawn_ipc_traffic(sim, emulator)
         self._installed = True
         return True
-
-    def ff_register(self, controller) -> None:
-        """Register collector state with a fast-forward controller.
-
-        Subclasses extend this (calling ``super().ff_register``) with
-        their services and buffer queues. The base class covers the
-        pieces every app owns: the vsync tick counter and the frame /
-        latency collectors. A collector with a metrics registry attached
-        vetoes fast-forward — registry instruments are not journaled.
-        """
-        if getattr(self, "vsync", None) is not None:
-            self.vsync.ff_register(controller)
-        if self.fps._registry is not None:
-            controller.sim.veto_fast_forward("metrics-registry-attached")
-            return
-        controller.track_counter(self.fps, "presented")
-        controller.track_list(self.fps.present_times)
-        controller.track_counts(self.fps.dropped)
-        if self.latency is not None:
-            controller.track_list(self.latency.samples)
 
     def _spawn_ipc_traffic(self, sim: Simulator, emulator: Emulator) -> None:
         """Background CPU-only shared-memory use (binder parcels, ashmem

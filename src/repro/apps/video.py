@@ -74,15 +74,6 @@ class UhdVideoApp(App):
         sim.spawn(media.run_decoder(), name=f"{self.name}:decoder")
         sim.spawn(media.run_callbacks(), name=f"{self.name}:callbacks")
 
-    def ff_register(self, controller) -> None:
-        super().ff_register(controller)
-        if getattr(self, "_queue", None) is not None:
-            self._queue.ff_register(controller)
-        if getattr(self, "_flinger", None) is not None:
-            self._flinger.ff_register(controller)
-        if getattr(self, "_media", None) is not None:
-            self._media.ff_register(controller)
-
 
 class ShortFormVideoApp(UhdVideoApp):
     """A short-form video app: a new clip (and data pipeline) every few

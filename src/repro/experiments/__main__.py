@@ -499,10 +499,6 @@ def main(argv=None) -> int:
                         help="fan engine-backed sweeps over N worker processes")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the on-disk run cache (.repro-cache/)")
-    parser.add_argument("--no-fast-forward", action="store_true",
-                        help="disable steady-state fast-forward (results are "
-                             "bit-identical either way; use to time the "
-                             "event-by-event path)")
     parser.add_argument("--history", metavar="PATH", default=None,
                         help="bench-history JSONL for the regression sentinel "
                              "(default BENCH_history.jsonl; bench/dashboard)")
@@ -599,25 +595,10 @@ def main(argv=None) -> int:
                                  "into the dashboard")
     args = parser.parse_args(argv)
     from repro.experiments import engine
-    from repro.sim import fastforward
 
     engine.set_default_jobs(args.jobs)
     engine.set_cache_default(not args.no_cache)
-    prev_fast_forward = fastforward.enabled_default()
-    fastforward.set_enabled(not args.no_fast_forward)
-    if args.experiment in ("chaos", "recover", "fuzz"):
-        # Fault-plan runs must execute every event: injected faults and
-        # recovery flows are exactly the aperiodic behaviour the skip
-        # detector exists to avoid, and the injector adds a per-simulator
-        # veto besides. Forcing the process default off makes the
-        # guarantee independent of any run_app plumbing.
-        fastforward.set_enabled(False)
-    try:
-        return _dispatch(args, parser)
-    finally:
-        # main() is also called programmatically (tests, embedding); the
-        # per-command flag must not leak into the caller's process.
-        fastforward.set_enabled(prev_fast_forward)
+    return _dispatch(args, parser)
 
 
 def _dispatch(args, parser) -> int:

@@ -1,6 +1,6 @@
 """Benchmarks of the experiment engine itself → ``BENCH_engine.json``.
 
-Four measurements, from the inside out:
+Three measurements, from the inside out:
 
 * **Kernel (stress)** — the optimized simulation kernel versus a frozen
   pre-PR copy (:mod:`repro.experiments._baseline_kernel`), both driven by
@@ -8,11 +8,6 @@ Four measurements, from the inside out:
   waits, cancelled timers, process churn, trace records — the same mix a
   real app run produces). The workloads assert identical event counts
   before timing is trusted.
-* **Kernel (steady)** — the same frozen baseline versus the live kernel on
-  its timing-wheel queue with steady-state fast-forward armed, driven by
-  an exactly periodic frame workload. The fast-forwarded arm must (a)
-  actually engage and (b) produce a bitwise-identical trace digest, or the
-  benchmark refuses to report a number.
 * **Single run** — wall-clock of one representative app point
   (UHD video on vSoC) through :func:`~repro.experiments.engine.execute_spec`.
 * **Suite** — a small emulator×app sweep run three ways: cold serial, cold
@@ -34,7 +29,6 @@ the history's EWMA baselines (see :mod:`repro.obs.baseline`).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import platform
@@ -53,7 +47,7 @@ from repro.experiments.engine import (
 )
 
 #: Schema identifier written into (and required from) every bench JSON.
-#: v2 added ``kernel.scales`` (two-scale A/B incl. fast-forward) and
+#: v2 added ``kernel.scales`` (named kernel A/B scales) and
 #: ``suites.*.parallel_mode``.
 BENCH_SCHEMA = "repro-bench-engine-v2"
 
@@ -155,232 +149,13 @@ def bench_kernel(workers: int = 32, duration_ms: float = 2_000.0,
     }
 
 
-# ---------------------------------------------------------------------------
-# Kernel steady-state workload (frozen heap vs live wheel + fast-forward)
-# ---------------------------------------------------------------------------
-
-#: Frame period of the steady workload: a dyadic stand-in for vsync.
-STEADY_PERIOD_MS = 16.0
-
-#: Per-frame pipeline stages (ms). All multiples of 0.25, summing to the
-#: frame period exactly — the workload is on the fast-forward grid by
-#: construction once its settle transient decays.
-STEADY_STAGES = (1.0, 0.5, 2.0, 0.5, 1.5, 1.0, 0.25, 2.25, 1.5, 0.5, 2.0, 3.0)
-
-#: Frames of decaying timing perturbation before steady state (mimics the
-#: EWMA predictors converging in a real pipeline).
-STEADY_SETTLE_FRAMES = 16
-
-
-class _SteadyWorker:
-    """One synthetic frame pipeline for :func:`kernel_steady`.
-
-    The per-frame counter lives on the *object* and is read at the point
-    of use — the cooperative contract fast-forward requires: a generator
-    local carried across the cycle boundary would write a stale value
-    back over the replayed counter after a jump.
-
-    ``substeps`` (a power of two) splits every stage into that many equal
-    timeouts: same frame period, proportionally more dispatched events —
-    the knob for modelling finer-grained pipelines.
-    """
-
-    __slots__ = ("sim", "trace", "Timeout", "index", "record_every",
-                 "substeps", "frame")
-
-    def __init__(self, sim, trace, Timeout, index, record_every, substeps=1):
-        self.sim = sim
-        self.trace = trace
-        self.Timeout = Timeout
-        self.index = index
-        self.record_every = record_every
-        self.substeps = substeps
-        self.frame = 0
-
-    def run(self):
-        Timeout = self.Timeout
-        sub = self.substeps
-        yield Timeout((self.index % 16) * 0.25)  # spread worker phases
-        while True:
-            # Decaying perturbation: a dyadic shift of one stage boundary
-            # early in the run (cancels within the frame), so the detector
-            # must wait out a genuine transient. Safe to read into a local
-            # here: it is 0.0 for every frame a jump could land in (jumps
-            # require settled, on-grid cycles).
-            extra = (
-                STEADY_PERIOD_MS * 2.0 ** -(self.frame + 4) / sub
-                if self.frame < STEADY_SETTLE_FRAMES else 0.0
-            )
-            for j, stage in enumerate(STEADY_STAGES):
-                step = stage / sub
-                if j == 2:
-                    yield Timeout(step + extra)
-                elif j == len(STEADY_STAGES) - 1:
-                    yield Timeout(step - extra)
-                else:
-                    yield Timeout(step)
-                for _ in range(sub - 1):
-                    yield Timeout(step)
-            # self.frame at the point of use, never a pre-cycle local: the
-            # in-flight cycle during a jump must see the replayed counter.
-            if self.frame % self.record_every == 0:
-                self.trace.record(
-                    self.sim.now, "steady.frame",
-                    worker=self.index, frame=self.frame, latency=13.0,
-                )
-            self.frame += 1
-
-
-def kernel_steady(ns: Any, workers: int = 64, frames: int = 650,
-                  record_every: int = 1, substeps: int = 1,
-                  queue: Optional[str] = None,
-                  fast_forward: bool = False,
-                  max_multiple: int = 8) -> Any:
-    """Run the steady frame workload on one kernel namespace.
-
-    Returns the :class:`TraceLog` (digest it *outside* any timed section).
-    With ``fast_forward`` the live kernel's fixed-point detector is armed
-    and must engage — a silent fall-back to event-by-event would publish
-    a meaningless "speedup", so that is an error here.
-    """
-    sim = ns.Simulator() if queue is None else ns.Simulator(queue=queue)
-    trace = ns.TraceLog()
-    pool = [
-        _SteadyWorker(sim, trace, ns.Timeout, i, record_every, substeps)
-        for i in range(workers)
-    ]
-    for worker in pool:
-        sim.spawn(worker.run(), name=f"steady-{worker.index}")
-    horizon = frames * STEADY_PERIOD_MS + 4.0
-    ctl = None
-    if fast_forward:
-        from repro.sim import fastforward
-        from repro.sim.fastforward import FastForwardController, TraceChannel
-
-        prev = fastforward.enabled_default()
-        fastforward.set_enabled(True)  # the A/B measures the feature itself
-        try:
-            ctl = FastForwardController(
-                sim, period=STEADY_PERIOD_MS, horizon=horizon,
-                max_multiple=max_multiple,
-            )
-            ctl.add_channel(TraceChannel(trace))
-            for worker in pool:
-                ctl.track_counter(worker, "frame")
-                # The record cadence *branches* on frame % record_every, so
-                # that residue must be fingerprinted, not just journaled —
-                # otherwise a quiet window looks one-frame-periodic and the
-                # detector would confirm a cycle that under-replays the
-                # trace (the digest check below would catch it, loudly).
-                ctl.watch(lambda w=worker: w.frame % w.record_every)
-            ctl.install()
-        finally:
-            fastforward.set_enabled(prev)
-    sim.run(until=horizon)
-    if ctl is not None and not ctl.engaged:
-        raise RuntimeError(
-            "steady-state fast-forward never engaged "
-            f"(reason: {ctl.disabled_reason!r}) — speedup would be fiction"
-        )
-    return trace
-
-
-def _trace_digest(trace: Any) -> str:
-    """Order-sensitive bitwise digest of every retained trace record."""
-    digest = hashlib.sha256()
-    # ``_records`` rather than iter(): the frozen baseline TraceLog
-    # predates __iter__ and must stay byte-for-byte untouched.
-    for r in trace._records:
-        digest.update(repr((r.time, r.kind, sorted(r.fields.items()))).encode())
-        digest.update(b"\0")
-    digest.update(str(trace.recorded_total).encode())
-    return digest.hexdigest()
-
-
-def bench_kernel_steady(workers: int = 64, frames: int = 650,
-                        record_every: int = 1, substeps: int = 1,
-                        max_multiple: int = 8,
-                        repeats: int = 3) -> Dict[str, Any]:
-    """Frozen heap baseline vs live wheel + fast-forward on the steady
-    workload. Bit-identity of the two traces is asserted before the
-    timing is trusted (the fast-forward soundness claim, enforced)."""
-    from types import SimpleNamespace
-
-    import repro.experiments._baseline_kernel as baseline_ns
-    from repro.sim.kernel import Simulator
-    from repro.sim.primitives import Timeout
-    from repro.sim.tracing import TraceLog
-
-    live_ns = SimpleNamespace(Simulator=Simulator, Timeout=Timeout, TraceLog=TraceLog)
-    import gc
-
-    arms = (
-        ("baseline", baseline_ns, dict(queue=None, fast_forward=False)),
-        ("optimized", live_ns, dict(queue="wheel", fast_forward=True)),
-    )
-    digests: Dict[str, str] = {}
-    records: Dict[str, int] = {}
-    timings = {"baseline": float("inf"), "optimized": float("inf")}
-    for _ in range(repeats):
-        for label, ns, kwargs in arms:
-            gc.collect()
-            gc_was_enabled = gc.isenabled()
-            gc.disable()
-            try:
-                t0 = time.perf_counter()
-                trace = kernel_steady(
-                    ns, workers=workers, frames=frames,
-                    record_every=record_every, substeps=substeps,
-                    max_multiple=max_multiple, **kwargs
-                )
-                timings[label] = min(timings[label], time.perf_counter() - t0)
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
-            digests[label] = _trace_digest(trace)
-            records[label] = trace.recorded_total
-    if digests["baseline"] != digests["optimized"]:
-        raise RuntimeError(
-            "steady kernel A/B diverged: fast-forwarded trace digest "
-            f"{digests['optimized'][:16]} != baseline "
-            f"{digests['baseline'][:16]} "
-            f"({records['optimized']} vs {records['baseline']} records)"
-        )
-    return {
-        "workers": workers,
-        "frames": frames,
-        "record_every": record_every,
-        "substeps": substeps,
-        # Scheduled timeout events the baseline dispatches one by one —
-        # the work the fast-forwarded arm provably skips.
-        "events": workers * frames * len(STEADY_STAGES) * substeps,
-        "records": records["optimized"],
-        "trace_digest": digests["optimized"],
-        "baseline_s": round(timings["baseline"], 4),
-        "optimized_s": round(timings["optimized"], 4),
-        "speedup": round(timings["baseline"] / timings["optimized"], 3),
-    }
-
-
-def bench_kernel_scales(quick: bool = False) -> Dict[str, Any]:
-    """The two CI-gated kernel A/B scales (plus a long-run demo point).
+def bench_kernel_scales() -> Dict[str, Any]:
+    """The CI-gated kernel A/B scale.
 
     * ``stress_50k`` — the aperiodic stress mix, ~56k trace events: what
-      the kernel refactor alone buys (fast-forward never engages here).
-    * ``steady_500k`` — ~500k scheduled events of exactly periodic frame
-      work: what the timing wheel + steady-state fast-forward buy.
-    * ``long_steady`` (full runs only) — ~1.5M events with sparse trace
-      records: the long-run regime where skipped cycles dominate.
+      the kernel's hot-path work buys over the frozen baseline.
     """
-    scales: Dict[str, Any] = {
-        "stress_50k": bench_kernel(),
-        "steady_500k": bench_kernel_steady(workers=64, frames=650),
-    }
-    if not quick:
-        scales["long_steady"] = bench_kernel_steady(
-            workers=8, frames=18_000, record_every=8, substeps=2, repeats=2
-        )
-    return scales
+    return {"stress_50k": bench_kernel()}
 
 
 # ---------------------------------------------------------------------------
@@ -497,10 +272,9 @@ def run_bench(jobs: Optional[int] = None, quick: bool = False,
     if jobs is None:
         jobs = default_jobs()
     duration = 2_000.0 if quick else 4_000.0
-    # The kernel A/Bs keep their full sizes even under --quick: sub-second
-    # workloads are dominated by noise and report junk ratios. (--quick
-    # only drops the optional long_steady demo point.)
-    scales = bench_kernel_scales(quick=quick)
+    # The kernel A/B keeps its full size even under --quick: sub-second
+    # workloads are dominated by noise and report junk ratios.
+    scales = bench_kernel_scales()
     kernel = dict(scales["stress_50k"])
     kernel["scales"] = scales
     report = {
@@ -548,11 +322,9 @@ def validate_bench_schema(data: Any) -> List[str]:
                 problems.append(f"kernel.{key}: must be positive, got {value}")
         scales = need(kernel, "scales", dict, "kernel")
         if scales is not None:
-            for required in ("stress_50k", "steady_500k"):
-                scale = need(scales, required, dict, "kernel.scales")
-                if scale is None:
-                    continue
-                where = f"kernel.scales.{required}"
+            scale = need(scales, "stress_50k", dict, "kernel.scales")
+            if scale is not None:
+                where = "kernel.scales.stress_50k"
                 need(scale, "events", int, where)
                 for key in ("baseline_s", "optimized_s", "speedup"):
                     value = need(scale, key, (int, float), where)
@@ -560,9 +332,6 @@ def validate_bench_schema(data: Any) -> List[str]:
                         problems.append(
                             f"{where}.{key}: must be positive, got {value}"
                         )
-            steady = scales.get("steady_500k")
-            if isinstance(steady, dict):
-                need(steady, "trace_digest", str, "kernel.scales.steady_500k")
     single = need(data, "single_run", dict, "root")
     if single is not None:
         need(single, "wall_s", (int, float), "single_run")

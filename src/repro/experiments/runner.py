@@ -23,7 +23,6 @@ from repro.emulators.base import Emulator
 from repro.hw.machine import HIGH_END_DESKTOP, MachineSpec, build_machine
 from repro.metrics.collectors import SvmStats
 from repro.sim import Simulator
-from repro.sim import fastforward
 from repro.sim.tracing import TraceLog
 
 #: Simulated test length. The paper runs 5 minutes per app; 20 simulated
@@ -49,7 +48,6 @@ class AppRun:
     emulator: Optional[Emulator]
     stats: Optional[Union[SvmStats, "StatsSummary"]]  # noqa: F821
     telemetry: Optional["TelemetrySnapshot"] = None  # noqa: F821
-    fast_forward: Optional[Dict[str, object]] = None
 
 
 def run_app(
@@ -61,7 +59,6 @@ def run_app(
     trace_kinds: Optional[Sequence[str]] = None,
     factory: Optional[Callable] = None,
     telemetry: bool = False,
-    fast_forward: Optional[bool] = None,
     attribution: bool = False,
 ) -> AppRun:
     """Run one app on one emulator for ``duration_ms`` of simulated time.
@@ -81,13 +78,6 @@ def run_app(
     post-hoc analysis of spans that were recorded anyway: it cannot
     perturb the run, and FPS/latency digests stay bit-identical with it
     on or off.
-
-    ``fast_forward`` arms the steady-state skip detector (``None`` =
-    process default, see ``repro.sim.fastforward.set_enabled``). It is a
-    *pure* accelerator: the controller refuses to engage unless the frame
-    cycle is proven exactly periodic, so results are bit-identical with
-    it on or off. Telemetry runs skip it — live registry instruments are
-    not journaled.
     """
     sim = Simulator()
     machine = build_machine(sim, machine_spec)
@@ -131,37 +121,18 @@ def run_app(
                                          attribution=attribution),
         )
 
-    ff_ctl = None
-    if fast_forward is None:
-        fast_forward = fastforward.enabled_default()
-    if fast_forward and obs is None:
-        from repro.sim.fastforward import FastForwardController, TraceChannel
-
-        ff_ctl = FastForwardController(
-            sim, period=app.vsync_period, horizon=duration_ms
-        )
-        ff_ctl.add_channel(TraceChannel(trace))
-        app.ff_register(ff_ctl)
-        ff_ctl.install()
-
     sim.run(until=duration_ms)
-    if ff_ctl is not None and ff_ctl.disabled_reason is None:
-        # Shut the mirror hook down cleanly for post-run trace consumers.
-        ff_ctl._disable("run-complete")
     result = app.collect(emulator_name, duration_ms)
-    ff_stats = ff_ctl.stats() if ff_ctl is not None else None
     return AppRun(
         result=result, emulator=emulator, stats=SvmStats(trace, duration_ms),
         telemetry=_capture_telemetry(obs, trace, app, emulator_name,
                                      duration_ms, seed, result=result,
-                                     attribution=attribution,
-                                     fast_forward=ff_stats),
-        fast_forward=ff_stats,
+                                     attribution=attribution),
     )
 
 
 def _capture_telemetry(obs, trace, app, emulator_name, duration_ms, seed, result,
-                       attribution=False, fast_forward=None):
+                       attribution=False):
     """Freeze an observed run's state into a picklable snapshot."""
     if obs is None:
         return None
@@ -173,7 +144,7 @@ def _capture_telemetry(obs, trace, app, emulator_name, duration_ms, seed, result
     if attribution:
         from repro.obs.critical import analyze_tracer
 
-        budget = analyze_tracer(obs.tracer, fast_forward=fast_forward)
+        budget = analyze_tracer(obs.tracer)
         # Mirror the per-cell totals into counters: fleet rollups and the
         # dashboard then aggregate budgets with zero aggregator changes.
         for (category, device), ms in budget.totals().items():

@@ -39,7 +39,7 @@ import asyncio
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import FleetError
-from repro.sim.eventq import make_event_queue
+from repro.sim.eventq import HeapEventQueue
 
 #: Upper bound on settle iterations between two timer firings. A chain of
 #: synchronous wake-ups this long means a task is blocked on a non-clock
@@ -63,15 +63,13 @@ class ClockHandle:
 
 
 class VirtualClock:
-    """Virtual-time timer wheel driving an asyncio loop deterministically."""
+    """Virtual-time timer heap driving an asyncio loop deterministically."""
 
-    def __init__(self, queue: Any = "wheel") -> None:
+    def __init__(self) -> None:
         self.now = 0.0
-        # The shared EventQueue abstraction from the DES kernel. Fleet runs
-        # are the workload the timing wheel exists for (thousands of
-        # concurrent session timers), so the wheel is the default; any
-        # kernel-compatible spec or instance is accepted.
-        self._queue = make_event_queue(queue)
+        # The DES kernel's event queue: same (time, seq) order, same lazy
+        # cancellation.
+        self._queue = HeapEventQueue()
         self._tasks: List["asyncio.Task[Any]"] = []
         self._runnable = 0
         self._parked: set = set()

@@ -9,7 +9,6 @@ and hands out per-tick waitables.
 from __future__ import annotations
 
 
-
 from repro.errors import ConfigurationError
 from repro.sim import SimEvent, Simulator
 from repro.sim.primitives import Waitable
@@ -38,11 +37,6 @@ class VSyncSource:
         event, self._next_event = self._next_event, SimEvent(self._sim, name="vsync")
         event.fire(self._sim.now)
         self._sim.schedule(self.period, self._tick)
-
-    def ff_register(self, controller) -> None:
-        """Journal the tick counter; fingerprint the waiter population."""
-        controller.track_counter(self, "ticks")
-        controller.watch(lambda: len(self._next_event._callbacks))
 
     def wait_next(self) -> Waitable:
         """Waitable firing at the next tick, with the tick time as value."""

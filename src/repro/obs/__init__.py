@@ -159,13 +159,12 @@ class Observability:
         self,
         track_groups: Optional[Mapping[str, str]] = None,
         tracelog=None,
-        fast_forward: Optional[Mapping[str, Any]] = None,
     ) -> Dict[str, Any]:
         """Chrome/Perfetto trace dict for this run (see :func:`chrome_trace`)."""
         end = self.sim.now if self.sim is not None else None
         return chrome_trace(
             self.tracer, track_groups=track_groups, tracelog=tracelog,
-            end_time=end, fast_forward=fast_forward,
+            end_time=end,
         )
 
     def export_metrics(self, extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:

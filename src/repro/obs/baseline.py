@@ -98,11 +98,9 @@ class MetricSpec:
 BENCH_METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec("kernel.speedup", higher_is_better=True),
     MetricSpec("kernel.optimized_s", higher_is_better=False),
-    # The two CI-gated kernel A/B scales (bench schema v2): the aperiodic
-    # stress mix and the steady-state fast-forward workload.
+    # The CI-gated kernel A/B scale (bench schema v2): the aperiodic
+    # stress mix.
     MetricSpec("kernel.scales.stress_50k.speedup", higher_is_better=True),
-    MetricSpec("kernel.scales.steady_500k.speedup", higher_is_better=True),
-    MetricSpec("kernel.scales.steady_500k.optimized_s", higher_is_better=False),
     MetricSpec("single_run.wall_s", higher_is_better=False),
     MetricSpec("suites.emerging.serial_s", higher_is_better=False),
     MetricSpec("suites.emerging.parallel_s", higher_is_better=False),

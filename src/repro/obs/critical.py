@@ -34,7 +34,7 @@ run because it only ever *reads* spans after the run finished.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import fsum
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -134,44 +134,29 @@ class LatencyBudget:
     ``skipped_flows`` lists flows that never reached ``frame.presented``
     (frames still in flight at the horizon) — they carry no measured
     latency, so they are reported rather than guessed at.
-    ``ff_skipped_frames`` scales the *aggregate* view when the run
-    fast-forwarded over proven-periodic steady state: each observed
-    frame then stands for ``ff_multiplier`` real frames.  Per-frame
-    budgets are never scaled — conservation is a per-frame property.
     """
 
     frames: Tuple[FrameBudget, ...] = ()
     critical_path: Tuple[PathStep, ...] = ()
     skipped_flows: Tuple[int, ...] = ()
-    ff_skipped_frames: int = 0
 
     # -- aggregate views ---------------------------------------------------
-    @property
-    def ff_multiplier(self) -> float:
-        """How many real frames each observed frame represents (>= 1)."""
-        if not self.frames or self.ff_skipped_frames <= 0:
-            return 1.0
-        observed = len(self.frames)
-        return (observed + self.ff_skipped_frames) / observed
-
-    def totals(self, scaled: bool = True) -> Dict[Tuple[str, str], float]:
+    def totals(self) -> Dict[Tuple[str, str], float]:
         """Total ms per (category, device) cell across all frames."""
-        factor = self.ff_multiplier if scaled else 1.0
         acc: Dict[Tuple[str, str], List[float]] = {}
         for frame in self.frames:
             for cell in frame.cells:
                 acc.setdefault((cell.category, cell.device), []).append(cell.ms)
-        return {key: fsum(values) * factor for key, values in sorted(acc.items())}
+        return {key: fsum(values) for key, values in sorted(acc.items())}
 
-    def category_totals(self, scaled: bool = True) -> Dict[str, float]:
+    def category_totals(self) -> Dict[str, float]:
         out = {category: 0.0 for category in BUDGET_CATEGORIES}
-        for (category, _device), ms in self.totals(scaled=scaled).items():
+        for (category, _device), ms in self.totals().items():
             out[category] = out.get(category, 0.0) + ms
         return out
 
-    def total_latency_ms(self, scaled: bool = True) -> float:
-        factor = self.ff_multiplier if scaled else 1.0
-        return fsum(frame.latency_ms for frame in self.frames) * factor
+    def total_latency_ms(self) -> float:
+        return fsum(frame.latency_ms for frame in self.frames)
 
     def latencies(self) -> List[float]:
         return [frame.latency_ms for frame in self.frames]
@@ -199,23 +184,6 @@ class LatencyBudget:
                 )
         return problems
 
-    def scaled_for_fast_forward(
-        self, stats: Optional[Mapping[str, Any]]
-    ) -> "LatencyBudget":
-        """Apply a fast-forward controller's skip stats to the aggregate.
-
-        One skipped cycle spans ``cycle_multiple`` anchor (vsync) periods
-        — one frame each — so the observed steady-state frames stand for
-        ``skipped_cycles * cycle_multiple`` additional identical frames.
-        """
-        if not stats:
-            return self
-        skipped = int(stats.get("skipped_cycles") or 0)
-        if skipped <= 0:
-            return self
-        multiple = int(stats.get("cycle_multiple") or 1)
-        return replace(self, ff_skipped_frames=skipped * max(multiple, 1))
-
     # -- (de)serialization -------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -238,7 +206,9 @@ class LatencyBudget:
                 for s in self.critical_path
             ],
             "skipped_flows": list(self.skipped_flows),
-            "ff_skipped_frames": self.ff_skipped_frames,
+            # Always 0: a retired field of the v1 document, kept so that
+            # budgets serialize byte-identically to older v1 documents.
+            "ff_skipped_frames": 0,
         }
 
     @classmethod
@@ -263,7 +233,6 @@ class LatencyBudget:
                 for s in data.get("critical_path", ())
             ),
             skipped_flows=tuple(int(x) for x in data.get("skipped_flows", ())),
-            ff_skipped_frames=int(data.get("ff_skipped_frames", 0)),
         )
 
 
@@ -452,15 +421,11 @@ def _critical_path(spans: Sequence[Any], presented: Any) -> Tuple[PathStep, ...]
 # Entry points
 # ---------------------------------------------------------------------------
 
-def analyze_tracer(
-    tracer: Any, fast_forward: Optional[Mapping[str, Any]] = None
-) -> LatencyBudget:
+def analyze_tracer(tracer: Any) -> LatencyBudget:
     """Fold every presented frame in ``tracer`` into a :class:`LatencyBudget`.
 
     Raises :class:`TruncatedTraceError` when the tracer ran in ring mode
     and evicted spans — a truncated flow cannot be attributed honestly.
-    ``fast_forward`` is the controller's ``stats()`` dict (or None); when
-    it skipped cycles the aggregate views scale accordingly.
     """
     dropped = getattr(tracer, "dropped_spans", 0)
     if dropped:
@@ -492,12 +457,11 @@ def analyze_tracer(
 
     frames.sort(key=lambda f: (f.present_ms, f.sequence, f.flow))
     path = _critical_path(worst[2], worst[3]) if worst is not None else ()
-    budget = LatencyBudget(
+    return LatencyBudget(
         frames=tuple(frames),
         critical_path=path,
         skipped_flows=tuple(skipped),
     )
-    return budget.scaled_for_fast_forward(fast_forward)
 
 
 def budget_from_snapshot(snapshot: Any) -> Optional[LatencyBudget]:

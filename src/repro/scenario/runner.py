@@ -161,8 +161,6 @@ def run_scenario(
         sim.schedule(time_ms, model.note_busy, busy_ms)
         thermal_applied += 1
 
-    # No fast-forward: an armed injector vetoes it anyway, and audited
-    # fuzz runs must never skip past a would-be violation.
     sim.run(until=horizon)
     auditor.sweep()  # final sweep at the horizon
 

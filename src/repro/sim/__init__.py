@@ -14,12 +14,7 @@ Public surface:
 * :mod:`~repro.sim.tracing` — structured trace records.
 """
 
-from repro.sim.eventq import (
-    HeapEventQueue,
-    TimingWheelEventQueue,
-    make_event_queue,
-)
-from repro.sim.fastforward import FastForwardController
+from repro.sim.eventq import HeapEventQueue
 from repro.sim.kernel import Process, ScheduledCall, Simulator
 from repro.sim.primitives import (
     AllOf,
@@ -38,9 +33,6 @@ __all__ = [
     "Process",
     "ScheduledCall",
     "HeapEventQueue",
-    "TimingWheelEventQueue",
-    "make_event_queue",
-    "FastForwardController",
     "Waitable",
     "Timeout",
     "SimEvent",

@@ -1,81 +1,30 @@
-"""Pluggable event queues for the DES kernel: binary heap and timing wheel.
+"""The event queue shared by the DES kernel and the fleet's virtual clock.
 
-The kernel's original scheduler was a single ``heapq`` — O(log n) per
-event, with n the number of *pending* events. That is fine for one app on
-one emulator (~hundreds pending) but the fleet plane multiplies event
-counts by ~1000x, and at that depth the heap's cache-hostile sift chains
-dominate the dispatch loop. This module factors the scheduler behind a
-small ``EventQueue`` surface with two interchangeable implementations:
+:class:`HeapEventQueue` is a binary heap of ``(time, seq, obj)`` entries,
+where ``obj`` is any object with ``time`` and ``cancelled`` attributes
+(the kernel's ``ScheduledCall``, the fleet clock's ``ClockHandle``).
 
-* :class:`HeapEventQueue` — the classic binary heap. Still the best
-  structure at shallow depth (C ``heapq`` beats any pure-Python wheel
-  below a few thousand pending events), and the reference implementation
-  the property tests compare against.
-* :class:`TimingWheelEventQueue` — a calendar queue / hierarchical timing
-  wheel: a ring of fixed-width buckets covering a sliding time window,
-  an *overflow* heap for events beyond the horizon, and a *current* heap
-  holding only the events of the bucket being drained. Insertion into an
-  in-window bucket is an O(1) list append; dispatch heapifies one bucket
-  at a time, so ordering work is O(log b) in the *bucket* population, not
-  the total pending count — O(1) amortized per event for workloads whose
-  pending set is spread across many buckets.
-
-Both back-ends preserve the kernel's determinism contract exactly: events
-with equal timestamps dispatch in push order (a monotonically increasing
-sequence number assigned by the queue breaks ties), and cancellation is
-lazy (cancelled entries are skipped at pop time), byte-for-byte matching
-the old heap semantics. The property tests in ``tests/test_eventq.py``
-drive randomized schedule/cancel/timeout interleavings through both
-back-ends and assert identical dispatch sequences.
-
-The kernel's default is *adaptive*: it starts on a :class:`HeapEventQueue`
-and promotes itself to a wheel (via :func:`wheel_from_heap`, which carries
-sequence numbers across so dispatch order is bit-identical) when the
-pending population crosses :data:`ADAPTIVE_PROMOTE_AT` — small sims keep
-the heap's low constants, fleet-scale sims get the wheel's flat scaling,
-and nobody configures anything. The promotion check lives in the kernel's
-dispatch loop, not here, so the heap's push path stays free of branches.
-``REPRO_SIM_QUEUE=heap|wheel|adaptive`` overrides the default for A/B
-runs, as does ``Simulator(queue=...)``.
-
-Queue entries are ``(time, seq, obj)`` tuples where ``obj`` is any object
-with ``time`` and ``cancelled`` attributes (the kernel's
-``ScheduledCall``, the fleet clock's ``ClockHandle``).
+The determinism contract: entries dispatch in ``(time, seq)`` order, and
+``seq`` is a counter the queue assigns at push time, so events with equal
+timestamps run in push order. Cancellation is lazy — a cancelled entry
+stays in the heap and is skipped when it reaches the top — which keeps
+``cancel`` O(1). :meth:`Simulator.run <repro.sim.kernel.Simulator.run>`
+inlines :meth:`pop_due` in its dispatch loop; the two must stay in step.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
-_heapify = heapq.heapify
 
 Entry = Tuple[float, int, Any]
 
-#: Pending-event count at which the adaptive default trades the heap's low
-#: constants for the wheel's flat scaling. Calibrated on the frozen kernel
-#: bench: below ~2k pending the C heap wins, above it the wheel does.
-ADAPTIVE_PROMOTE_AT = 2048
-
-#: Default bucket geometry: 4096 buckets of 0.25 ms cover a 1.024 s sliding
-#: window — two orders of magnitude wider than a frame, so steady guest
-#: pipelines essentially never touch the overflow heap.
-DEFAULT_BUCKET_MS = 0.25
-DEFAULT_BUCKETS = 4096
-
-#: Buckets per occupancy segment: the cursor scan skips empty regions one
-#: segment at a time, bounding the per-advance scan to
-#: ``buckets/SEGMENT + SEGMENT`` slots even for sparse timer populations.
-SEGMENT = 64
-
 
 class HeapEventQueue:
-    """Binary-heap event queue — the reference back-end."""
-
-    kind = "heap"
+    """Binary-heap event queue with FIFO ties and lazy cancellation."""
 
     __slots__ = ("_heap", "_seq")
 
@@ -101,254 +50,8 @@ class HeapEventQueue:
             return entry
         return None
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
     def iter_pending(self) -> Iterator[Entry]:
         """Yield live entries in arbitrary order (callers sort)."""
         for entry in self._heap:
             if not entry[2].cancelled:
                 yield entry
-
-    def shift_all(self, dt: float) -> None:
-        """Uniformly translate every pending entry ``dt`` ms into the future
-        (fast-forward support). Cancelled entries are compacted away."""
-        shifted: List[Entry] = []
-        for time, seq, obj in self._heap:
-            if obj.cancelled:
-                continue
-            obj.time = time + dt
-            shifted.append((time + dt, seq, obj))
-        _heapify(shifted)  # uniform shift preserves order, but compaction may not
-        self._heap = shifted
-
-
-class TimingWheelEventQueue:
-    """Calendar-queue / timing-wheel event queue.
-
-    Layout: ``_buckets[i]`` holds unordered entries whose absolute bucket
-    index ``ai = int(time / bucket_ms)`` falls in the sliding window
-    ``(cursor, cursor + n)``; ``_current`` is a heap of entries at or
-    behind the cursor (the bucket being drained, plus any late arrivals);
-    ``_overflow`` is a heap of entries beyond the horizon, refiled into
-    buckets as the window slides over them. ``_segments`` counts entries
-    per ``SEGMENT``-bucket region so the cursor scan skips empty space.
-    """
-
-    kind = "wheel"
-
-    __slots__ = (
-        "_width",
-        "_inv",
-        "_n",
-        "_buckets",
-        "_segments",
-        "_cursor",
-        "_current",
-        "_overflow",
-        "_window",
-        "_seq",
-        "_size",
-    )
-
-    def __init__(
-        self,
-        bucket_ms: float = DEFAULT_BUCKET_MS,
-        buckets: int = DEFAULT_BUCKETS,
-        start: float = 0.0,
-    ):
-        if bucket_ms <= 0:
-            raise ValueError(f"bucket_ms must be positive, got {bucket_ms}")
-        if buckets < SEGMENT or buckets % SEGMENT:
-            raise ValueError(f"buckets must be a positive multiple of {SEGMENT}")
-        self._width = float(bucket_ms)
-        self._inv = 1.0 / self._width
-        self._n = buckets
-        self._buckets: List[List[Entry]] = [[] for _ in range(buckets)]
-        self._segments = [0] * (buckets // SEGMENT)
-        self._cursor = int(start * self._inv)
-        self._current: List[Entry] = []
-        self._overflow: List[Entry] = []
-        self._window = 0
-        self._seq = 0
-        self._size = 0
-
-    def push(self, time: float, obj: Any) -> None:
-        self._seq = seq = self._seq + 1
-        self._place(time, seq, obj)
-
-    def _place(self, time: float, seq: int, obj: Any) -> None:
-        self._size += 1
-        ai = int(time * self._inv)
-        cursor = self._cursor
-        if ai <= cursor:
-            # Due now / in the bucket being drained: ordering needs a heap.
-            _heappush(self._current, (time, seq, obj))
-        elif ai < cursor + self._n:
-            slot = ai % self._n
-            self._buckets[slot].append((time, seq, obj))
-            self._segments[slot // SEGMENT] += 1
-            self._window += 1
-        else:
-            _heappush(self._overflow, (time, seq, obj))
-
-    def pop_due(self, limit: Optional[float] = None) -> Optional[Entry]:
-        current = self._current
-        while True:
-            while current:
-                entry = current[0]
-                if limit is not None and entry[0] > limit:
-                    return None
-                _heappop(current)
-                self._size -= 1
-                if entry[2].cancelled:
-                    continue
-                return entry
-            if not self._advance():
-                return None
-
-    def _advance(self) -> bool:
-        """Slide the cursor to the next populated bucket and adopt it into
-        the (empty) current heap. Returns False when the queue is drained."""
-        n = self._n
-        if self._window:
-            segments = self._segments
-            nseg = len(segments)
-            cursor = self._cursor
-            slot = (cursor + 1) % n
-            # Skip empty segments wholesale, then scan within the hit.
-            steps = 0
-            while True:
-                seg = slot // SEGMENT
-                if segments[seg] == 0:
-                    # Jump to the start of the next segment.
-                    skipped = SEGMENT - (slot % SEGMENT)
-                    slot = (slot + skipped) % n
-                    steps += skipped
-                elif self._buckets[slot]:
-                    break
-                else:
-                    slot += 1
-                    steps += 1
-                    if slot == n:
-                        slot = 0
-                if steps > n:  # pragma: no cover - defensive, window said non-empty
-                    raise RuntimeError("timing wheel occupancy accounting broken")
-            cursor += ((slot - cursor) % n) or n
-            bucket = self._buckets[slot]
-            self._buckets[slot] = []
-            self._segments[slot // SEGMENT] -= len(bucket)
-            self._window -= len(bucket)
-            self._cursor = cursor
-            current = self._current
-            current.extend(bucket)
-            _heapify(current)
-            self._refile(cursor)
-            return True
-        if self._overflow:
-            # Window empty: jump the cursor straight to the overflow's head.
-            self._cursor = cursor = int(self._overflow[0][0] * self._inv)
-            self._refile(cursor)
-            return True
-        return False
-
-    def _refile(self, cursor: int) -> None:
-        """Move overflow entries that slid under the horizon into buckets."""
-        overflow = self._overflow
-        inv = self._inv
-        n = self._n
-        horizon = cursor + n
-        while overflow:
-            time = overflow[0][0]
-            ai = int(time * inv)
-            if ai >= horizon:
-                return
-            entry = _heappop(overflow)
-            if ai <= cursor:
-                _heappush(self._current, entry)
-            else:
-                slot = ai % n
-                self._buckets[slot].append(entry)
-                self._segments[slot // SEGMENT] += 1
-                self._window += 1
-
-    def __len__(self) -> int:
-        return self._size
-
-    def iter_pending(self) -> Iterator[Entry]:
-        for entry in self._current:
-            if not entry[2].cancelled:
-                yield entry
-        if self._window:
-            for bucket in self._buckets:
-                for entry in bucket:
-                    if not entry[2].cancelled:
-                        yield entry
-        for entry in self._overflow:
-            if not entry[2].cancelled:
-                yield entry
-
-    def shift_all(self, dt: float) -> None:
-        """Uniformly translate every pending entry ``dt`` ms forward.
-
-        O(k log k) in the live population — fine for fast-forward jumps,
-        which happen at most once per run against a steady-state pending
-        set of a few hundred events.
-        """
-        entries = sorted(self.iter_pending())
-        for bucket in self._buckets:
-            if bucket:
-                bucket.clear()
-        self._segments = [0] * (self._n // SEGMENT)
-        self._current = []
-        self._overflow = []
-        self._window = 0
-        self._size = 0
-        if not entries:
-            self._cursor += int(dt * self._inv)
-            return
-        self._cursor = int((entries[0][0] + dt) * self._inv) - 1
-        for time, seq, obj in entries:
-            obj.time = time + dt
-            self._place(time + dt, seq, obj)
-
-
-def wheel_from_heap(heap_queue: HeapEventQueue) -> TimingWheelEventQueue:
-    """Build a wheel carrying over a heap's live entries and seq counter.
-
-    Entries keep their original sequence numbers, so FIFO tie-breaking is
-    bit-identical across the promotion boundary.
-    """
-    entries = sorted(heap_queue.iter_pending())
-    start = entries[0][0] if entries else 0.0
-    wheel = TimingWheelEventQueue(start=start)
-    wheel._cursor -= 1  # first entry's bucket must still be ahead of the cursor
-    wheel._seq = heap_queue._seq
-    for time, seq, obj in entries:
-        wheel._place(time, seq, obj)
-    return wheel
-
-
-def resolve_queue_spec(spec: Any = None) -> Any:
-    """Apply the ``REPRO_SIM_QUEUE`` env override to an unset spec."""
-    if spec is None:
-        return os.environ.get("REPRO_SIM_QUEUE", "adaptive")
-    return spec
-
-
-def make_event_queue(spec: Any = None) -> Any:
-    """Resolve a queue spec (None / name / instance) to an EventQueue.
-
-    ``None`` consults ``REPRO_SIM_QUEUE`` and defaults to ``"adaptive"``
-    (which starts as a heap; promotion is the *owner's* job — the kernel
-    promotes in its dispatch loop, other owners may simply treat it as a
-    heap). An instance passes through unchanged.
-    """
-    spec = resolve_queue_spec(spec)
-    if isinstance(spec, str):
-        if spec in ("heap", "adaptive"):
-            return HeapEventQueue()
-        if spec == "wheel":
-            return TimingWheelEventQueue()
-        raise ValueError(f"unknown event queue spec {spec!r} (heap|wheel|adaptive)")
-    return spec

@@ -45,14 +45,7 @@ import heapq
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.eventq import (
-    ADAPTIVE_PROMOTE_AT,
-    Entry,
-    HeapEventQueue,
-    make_event_queue,
-    resolve_queue_spec,
-    wheel_from_heap,
-)
+from repro.sim.eventq import HeapEventQueue
 from repro.sim.primitives import Timeout, Waitable
 
 _heappush = heapq.heappush
@@ -229,10 +222,9 @@ class Process(Waitable):
                 hook.on_process_yield(sim._now, self, target)
         # Timeout is by far the most common yield (every modelled latency),
         # so the exact-type fast path runs before the generic isinstance —
-        # and pushes onto the queue directly: Timeout's constructor already
-        # rejected negative delays, and nobody holds the handle to cancel.
-        # ``sim._qpush`` is re-read (not hoisted) so an adaptive heap→wheel
-        # promotion mid-run takes effect on the very next push.
+        # and pushes onto the heap directly (an inlined
+        # HeapEventQueue.push): Timeout's constructor already rejected
+        # negative delays, and nobody holds the handle to cancel.
         if type(target) is Timeout:
             call = _new_call(ScheduledCall)
             call.time = when = sim._now + target.delay
@@ -241,13 +233,8 @@ class Process(Waitable):
             call.cancelled = False
             call._sim = sim
             queue = sim._queue
-            if type(queue) is HeapEventQueue:
-                # Inline HeapEventQueue.push: this is the hottest push site
-                # and the C heappush beats a Python-level method call.
-                queue._seq = seq = queue._seq + 1
-                _heappush(queue._heap, (when, seq, call))
-            else:
-                queue.push(when, call)
+            queue._seq = seq = queue._seq + 1
+            _heappush(queue._heap, (when, seq, call))
             sim._live_events += 1
         elif isinstance(target, Waitable):
             target.add_callback(self._step)
@@ -296,15 +283,9 @@ class Simulator:
         assert sim.now == 5.0 and proc.value == "done"
     """
 
-    def __init__(self, queue: Any = None) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
-        # ``queue`` may be a spec string ("heap" | "wheel" | "adaptive"), a
-        # pre-built EventQueue, or None (env override / adaptive default).
-        # Adaptive starts on the heap; the dispatch loop promotes it to a
-        # timing wheel once the pending population crosses the threshold.
-        spec = resolve_queue_spec(queue)
-        self._promote_at = ADAPTIVE_PROMOTE_AT if spec == "adaptive" else None
-        self._queue = make_event_queue(spec)
+        self._queue = HeapEventQueue()
         self._qpush = self._queue.push
         # Insertion-ordered registry of *live* processes (finished ones are
         # pruned by Process._finish). A dict-as-ordered-set keeps removal
@@ -313,7 +294,6 @@ class Simulator:
         self._failure: Optional[Tuple[Process, BaseException]] = None
         self._hooks: List[SimHook] = []
         self._live_events = 0
-        self._ff_vetoes: List[str] = []
 
     # -- observability hooks -------------------------------------------------
     def add_hook(self, hook: SimHook) -> None:
@@ -330,23 +310,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in milliseconds."""
         return self._now
-
-    @property
-    def queue_kind(self) -> str:
-        """Which EventQueue back-end is currently active ("heap"/"wheel")."""
-        return self._queue.kind
-
-    def _promote_queue(self, heap_queue: HeapEventQueue) -> None:
-        """Adaptive escalation: swap the heap for a timing wheel in place.
-
-        Called from the dispatch loop once the pending population crosses
-        the adaptive threshold. Sequence numbers carry over, so dispatch
-        order is unchanged — the property tests assert bit-identical
-        traces across the promotion boundary.
-        """
-        self._promote_at = None
-        self._queue = wheel_from_heap(heap_queue)
-        self._qpush = self._queue.push
 
     # -- scheduling ------------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> ScheduledCall:
@@ -399,60 +362,21 @@ class Simulator:
         drains while processes are still alive (useful in unit tests).
 
         The dispatch loop is the single hottest path of the whole library
-        (every simulated event passes through it), so the heap back-end is
-        inlined here rather than delegating to ``pop_due``: locals replace
-        attribute lookups and the per-event method call. The inlined loop
-        re-validates ``self._queue`` identity after every dispatch, so an
-        adaptive heap→wheel promotion or a fast-forward jump from inside a
-        dispatched event restarts the loop on the fresh structure.
+        (every simulated event passes through it), so
+        :meth:`HeapEventQueue.pop_due` is inlined here: locals replace
+        attribute lookups and the per-event method call.
         """
+        heap = self._queue._heap
         now = self._now
-        while True:
-            queue = self._queue
-            if type(queue) is HeapEventQueue:
-                heap = queue._heap
-                promote_at = self._promote_at
-                if promote_at is not None and len(heap) >= promote_at:
-                    self._promote_queue(queue)
-                    continue
-                swapped = False
-                while heap:
-                    entry = heap[0]
-                    if until is not None and entry[0] > until:
-                        break
-                    _heappop(heap)
-                    call = entry[2]
-                    if call.cancelled:
-                        continue
-                    time = entry[0]
-                    if time < now:
-                        raise SimulationError("event queue time went backwards")
-                    self._now = now = time
-                    self._live_events -= 1
-                    hooks = self._hooks
-                    if hooks:
-                        for hook in hooks:
-                            hook.on_event_dispatch(time, call)
-                    call.fn(*call.args)
-                    if self._failure is not None:
-                        self._raise_pending_failure()
-                    if self._queue is not queue or queue._heap is not heap:
-                        # Promoted or fast-forwarded from inside the event.
-                        swapped = True
-                        now = self._now
-                        break
-                    if promote_at is not None and len(heap) >= promote_at:
-                        self._promote_queue(queue)
-                        swapped = True
-                        break
-                if swapped:
-                    continue
+        while heap:
+            entry = heap[0]
+            if until is not None and entry[0] > until:
                 break
-            entry = queue.pop_due(until)
-            if entry is None:
-                break
-            time = entry[0]
+            _heappop(heap)
             call = entry[2]
+            if call.cancelled:
+                continue
+            time = entry[0]
             if time < now:
                 raise SimulationError("event queue time went backwards")
             self._now = now = time
@@ -464,44 +388,12 @@ class Simulator:
             call.fn(*call.args)
             if self._failure is not None:
                 self._raise_pending_failure()
-            now = self._now  # a fast-forward jump inside the event moves the clock
         if until is not None and self._now < until:
             self._now = until
-        if check_deadlock and not len(self._queue):
+        if check_deadlock and self._live_events == 0:
             stuck = [p.name for p in self._processes if p.alive]
             if stuck:
                 raise DeadlockError(f"no events left but processes blocked: {stuck}")
-
-    # -- fast-forward support ----------------------------------------------
-    def fast_forward(self, dt: float) -> None:
-        """Jump the clock ``dt`` ms into the future without dispatching.
-
-        Every pending event is shifted by exactly ``dt`` so relative timing
-        is untouched; the caller (:class:`repro.sim.fastforward.
-        FastForwardController`) is responsible for advancing any state the
-        skipped events would have produced. Only sound when the pending set
-        is exactly periodic — which the controller proves before calling.
-        """
-        if dt < 0:
-            raise SimulationError(f"cannot fast-forward into the past (dt={dt})")
-        if dt == 0.0:
-            return
-        self._queue.shift_all(dt)
-        self._now += dt
-
-    def veto_fast_forward(self, reason: str) -> None:
-        """Mark this run as ineligible for fast-forward (chaos, tracing...).
-
-        Irrevocable for the life of the simulator: the fast-forward
-        controller checks the veto list at every anchor, so a veto placed
-        mid-run (e.g. by a fault injector installing late) still lands
-        before any jump.
-        """
-        self._ff_vetoes.append(reason)
-
-    @property
-    def fast_forward_vetoes(self) -> Tuple[str, ...]:
-        return tuple(self._ff_vetoes)
 
     # -- failure propagation -------------------------------------------------
     def _note_failure(self, proc: Process, exc: BaseException) -> None:
@@ -529,11 +421,3 @@ class Simulator:
         that poll it.
         """
         return self._live_events
-
-    def pending_entries(self) -> List[Entry]:
-        """Sorted ``(time, seq, call)`` snapshot of every live event.
-
-        O(n log n) introspection for the fast-forward fixed-point detector;
-        not used on any dispatch path.
-        """
-        return sorted(self._queue.iter_pending())

@@ -56,8 +56,8 @@ def test_budget_conserves_measured_latency(app_name, emulator):
             assert cell.ms >= 0.0
             assert cell.category in BUDGET_CATEGORIES
     # Aggregate views are consistent with each other.
-    totals = budget.totals(scaled=False)
-    assert abs(sum(totals.values()) - budget.total_latency_ms(scaled=False)) \
+    totals = budget.totals()
+    assert abs(sum(totals.values()) - budget.total_latency_ms()) \
         <= CONSERVATION_TOL * max(1, len(budget.frames))
 
 
@@ -168,22 +168,6 @@ def test_budget_round_trips_through_json():
         json.loads(json.dumps(budget.to_dict()))
     )
     assert revived == budget
-
-
-def test_fast_forward_scaling_scales_aggregates_only():
-    budget = analyze_tracer(_synthetic_tracer())
-    scaled = budget.scaled_for_fast_forward(
-        {"skipped_cycles": 3, "cycle_multiple": 2}
-    )
-    assert scaled.ff_skipped_frames == 6
-    assert scaled.ff_multiplier == pytest.approx((1 + 6) / 1)
-    for key, ms in budget.totals(scaled=False).items():
-        assert scaled.totals()[key] == pytest.approx(ms * scaled.ff_multiplier)
-    # Per-frame budgets (and conservation) are untouched by scaling.
-    assert scaled.frames == budget.frames
-    assert scaled.conservation_errors() == []
-    assert budget.scaled_for_fast_forward(None) == budget
-    assert budget.scaled_for_fast_forward({"skipped_cycles": 0}) == budget
 
 
 # -- differential triage ------------------------------------------------------
@@ -321,21 +305,3 @@ def test_chrome_trace_carries_retention_metadata():
     full = chrome_trace(_synthetic_tracer())
     assert full["otherData"]["span_retention"] == "all"
     assert full["otherData"]["dropped_spans"] == 0
-
-
-def test_chrome_trace_annotates_fast_forward_jumps():
-    from repro.obs import chrome_trace, validate_chrome_trace
-
-    tracer = _synthetic_tracer()
-    stats = {"skipped_cycles": 5, "skipped_ms": 400.0, "cycle_multiple": 2,
-             "jump_at": 100.0, "jump_to": 500.0}
-    trace = chrome_trace(tracer, fast_forward=stats)
-    assert validate_chrome_trace(trace) == []
-    names = {e["name"] for e in trace["traceEvents"] if e["ph"] == "i"}
-    assert "fastforward.jump" in names and "fastforward.land" in names
-    jump = next(e for e in trace["traceEvents"]
-                if e["name"] == "fastforward.jump")
-    assert jump["args"]["skipped_cycles"] == 5
-    plain = chrome_trace(tracer, fast_forward={"skipped_cycles": 0})
-    assert not any(e["name"].startswith("fastforward.")
-                   for e in plain["traceEvents"])

@@ -1,9 +1,8 @@
-"""Property and unit tests for the EventQueue backends (repro.sim.eventq).
+"""Property and unit tests for the kernel's event queue (repro.sim.eventq).
 
-The heap is the reference implementation; the timing wheel (and the
-adaptive promotion path) must dispatch every schedule/cancel/timeout
-sequence in exactly the same order — that equivalence is what lets the
-kernel swap backends without touching any bit-identity guarantee.
+The contract both the DES kernel and the fleet clock rely on: entries
+dispatch in ``(time, push order)`` order, and cancelled entries are
+skipped. The randomized test checks a heap against a plain sorted list.
 """
 
 import random
@@ -11,13 +10,7 @@ import random
 import pytest
 
 from repro.sim import Simulator, Timeout
-from repro.sim.eventq import (
-    ADAPTIVE_PROMOTE_AT,
-    HeapEventQueue,
-    TimingWheelEventQueue,
-    make_event_queue,
-    wheel_from_heap,
-)
+from repro.sim.eventq import HeapEventQueue
 
 
 class _Obj:
@@ -40,164 +33,61 @@ def _drain(queue, limit=None):
         out.append((entry[0], entry[1], entry[2].tag))
 
 
-# ---------------------------------------------------------------------------
-# Randomized equivalence: heap vs wheel vs adaptive promotion
-# ---------------------------------------------------------------------------
-
 @pytest.mark.parametrize("seed", range(8))
 def test_random_schedule_cancel_sequences_dispatch_identically(seed):
     rng = random.Random(seed)
-    heap = HeapEventQueue()
-    wheel = TimingWheelEventQueue()
-    entries = []
+    queue = HeapEventQueue()
+    reference = []  # (time, push index, obj), sorted on every pop
+    made = {}
+    dispatched, expected = [], []
     now = 0.0
-    script = []  # (op, payload) log, replayed identically into both queues
     for step in range(600):
         op = rng.random()
-        if op < 0.70 or not entries:
-            # Mix of near (in-window), far (overflow), and past-ish times.
-            bucket = rng.random()
-            if bucket < 0.5:
-                t = now + rng.uniform(0.0, 0.9)
-            elif bucket < 0.8:
-                t = now + rng.uniform(0.9, 5.0)
-            else:
-                t = now + rng.uniform(5.0, 600.0)
-            script.append(("push", t, step))
-            entries.append(step)
+        if op < 0.70 or not made:
+            t = now + rng.choice((0.0, rng.uniform(0.0, 0.9),
+                                  rng.uniform(0.9, 5.0), rng.uniform(5.0, 600.0)))
+            obj = made[step] = _Obj(t, step)
+            queue.push(t, obj)
+            reference.append((t, step, obj))
         elif op < 0.85:
-            script.append(("cancel", rng.choice(entries)))
+            made[rng.choice(list(made))].cancelled = True
         else:
             now += rng.uniform(0.1, 3.0)
-            script.append(("pop", now))
-
-    def run(queue):
-        made = {}
-        out = []
-        for item in script:
-            if item[0] == "push":
-                _op, t, tag = item
-                obj = _Obj(t, tag)
-                made[tag] = obj
-                queue.push(t, obj)
-            elif item[0] == "cancel":
-                obj = made.get(item[1])
-                if obj is not None:
-                    obj.cancelled = True
-            else:
-                out.extend(_drain(queue, item[1]))
-        out.extend(_drain(queue, None))
-        return out
-
-    assert run(heap) == run(wheel)
+            dispatched.extend(tag for _t, _s, tag in _drain(queue, now))
+            reference.sort(key=lambda e: (e[0], e[1]))
+            due = [e for e in reference if e[0] <= now]
+            reference = reference[len(due):]
+            expected.extend(e[1] for e in due if not e[2].cancelled)
+    dispatched.extend(tag for _t, _s, tag in _drain(queue))
+    reference.sort(key=lambda e: (e[0], e[1]))
+    expected.extend(e[1] for e in reference if not e[2].cancelled)
+    assert dispatched == expected
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_equal_timestamps_dispatch_fifo_on_both_backends(seed):
+def test_equal_timestamps_dispatch_fifo(seed):
     rng = random.Random(1000 + seed)
-    heap = HeapEventQueue()
-    wheel = TimingWheelEventQueue()
+    queue = HeapEventQueue()
     times = [rng.choice((1.0, 2.0, 2.0, 2.0, 7.5, 120.0)) for _ in range(200)]
-    for queue in (heap, wheel):
-        for i, t in enumerate(times):
-            queue.push(t, _Obj(t, i))
-    a, b = _drain(heap), _drain(wheel)
-    assert a == b
+    for i, t in enumerate(times):
+        queue.push(t, _Obj(t, i))
+    out = _drain(queue)
+    assert [t for t, _s, _tag in out] == sorted(times)
     # Within one timestamp, tags (insertion order) must be ascending.
     for t in set(times):
-        tags = [tag for tt, _seq, tag in a if tt == t]
+        tags = [tag for tt, _seq, tag in out if tt == t]
         assert tags == sorted(tags)
 
 
-def test_wheel_from_heap_preserves_pending_set_and_order():
-    rng = random.Random(7)
-    heap = HeapEventQueue()
-    objs = []
-    for i in range(300):
-        t = rng.uniform(0.0, 400.0)
-        obj = _Obj(t, i)
-        objs.append(obj)
-        heap.push(t, obj)
-    for obj in rng.sample(objs, 40):
-        obj.cancelled = True
-    reference = HeapEventQueue()
-    for t, seq, obj in heap.iter_pending():
-        reference._heap.append((t, seq, obj))
-    import heapq
-
-    heapq.heapify(reference._heap)
-    wheel = wheel_from_heap(heap)
-    assert _drain(wheel) == _drain(reference)
-
-
-# ---------------------------------------------------------------------------
-# Wheel internals
-# ---------------------------------------------------------------------------
-
-def test_wheel_overflow_refiles_into_window():
-    wheel = TimingWheelEventQueue()
-    near = _Obj(0.5, "near")
-    far = _Obj(900.0, "far")  # way past the ~1 s window
-    wheel.push(0.5, near)
-    wheel.push(900.0, far)
-    assert len(wheel) == 2
-    out = _drain(wheel)
-    assert [tag for _t, _s, tag in out] == ["near", "far"]
-
-
-def test_wheel_jumps_empty_window_straight_to_overflow():
-    wheel = TimingWheelEventQueue()
-    wheel.push(5000.0, _Obj(5000.0, "lonely"))
-    entry = wheel.pop_due(None)
-    assert entry is not None and entry[2].tag == "lonely"
-    assert wheel.pop_due(None) is None
-
-
-def test_wheel_shift_all_preserves_relative_order():
-    wheel = TimingWheelEventQueue()
-    for i, t in enumerate((1.0, 1.0, 3.0, 250.0)):
-        wheel.push(t, _Obj(t, i))
-    wheel.shift_all(1000.0)
-    out = _drain(wheel)
-    assert [round(t, 6) for t, _s, _tag in out] == [1001.0, 1001.0, 1003.0, 1250.0]
-    assert [tag for _t, _s, tag in out] == [0, 1, 2, 3]
-
-
-def test_heap_shift_all_drops_cancelled_and_keeps_order():
-    heap = HeapEventQueue()
-    objs = [_Obj(t, i) for i, t in enumerate((2.0, 2.0, 5.0))]
-    for obj in objs:
-        heap.push(obj.time, obj)
-    objs[0].cancelled = True
-    heap.shift_all(10.0)
-    out = _drain(heap)
-    assert [tag for _t, _s, tag in out] == [1, 2]
-    assert [t for t, _s, _tag in out] == [12.0, 15.0]
-
-
 def test_pop_due_respects_limit():
-    for queue in (HeapEventQueue(), TimingWheelEventQueue()):
-        queue.push(1.0, _Obj(1.0, "a"))
-        queue.push(10.0, _Obj(10.0, "b"))
-        entry = queue.pop_due(5.0)
-        assert entry is not None and entry[2].tag == "a"
-        assert queue.pop_due(5.0) is None
-        assert len(queue) == 1
+    queue = HeapEventQueue()
+    queue.push(1.0, _Obj(1.0, "a"))
+    queue.push(10.0, _Obj(10.0, "b"))
+    entry = queue.pop_due(5.0)
+    assert entry is not None and entry[2].tag == "a"
+    assert queue.pop_due(5.0) is None
+    assert queue.pop_due(None)[2].tag == "b"
 
-
-def test_make_event_queue_specs():
-    assert isinstance(make_event_queue("heap"), HeapEventQueue)
-    assert isinstance(make_event_queue("adaptive"), HeapEventQueue)
-    assert isinstance(make_event_queue("wheel"), TimingWheelEventQueue)
-    wheel = TimingWheelEventQueue()
-    assert make_event_queue(wheel) is wheel
-    with pytest.raises(Exception):
-        make_event_queue("nonsense")
-
-
-# ---------------------------------------------------------------------------
-# Kernel-level equivalence (full Simulator runs)
-# ---------------------------------------------------------------------------
 
 def _workload(sim):
     seen = []
@@ -216,42 +106,16 @@ def _workload(sim):
     return seen
 
 
-@pytest.mark.parametrize("spec", ["heap", "wheel", "adaptive"])
-def test_simulator_runs_identically_on_every_backend(spec):
-    reference = Simulator(queue="heap")
-    ref_seen = _workload(reference)
-    reference.run(until=200.0)
-
-    sim = Simulator(queue=spec)
+def test_run_loop_dispatches_like_step():
+    # Simulator.run inlines HeapEventQueue.pop_due; Simulator.step calls it.
+    sim = Simulator()
     seen = _workload(sim)
-    sim.run(until=200.0)
-    assert seen == ref_seen
-    assert sim.now == reference.now
+    sim.run()
 
-
-def test_adaptive_promotes_to_wheel_mid_run_without_reordering():
-    sim = Simulator(queue="adaptive")
-    assert sim.queue_kind == "heap"
-    seen = []
-
-    def burst():
-        # Push the pending count over the promotion threshold.
-        for i in range(ADAPTIVE_PROMOTE_AT + 64):
-            sim.schedule(1.0 + (i % 97) * 0.013, seen.append, i)
-        yield Timeout(50.0)
-
-    sim.spawn(burst(), name="burst")
-    sim.run(until=100.0)
-    assert sim.queue_kind == "wheel"
-
-    reference = Simulator(queue="heap")
-    ref_seen = []
-
-    def ref_burst():
-        for i in range(ADAPTIVE_PROMOTE_AT + 64):
-            reference.schedule(1.0 + (i % 97) * 0.013, ref_seen.append, i)
-        yield Timeout(50.0)
-
-    reference.spawn(ref_burst(), name="burst")
-    reference.run(until=100.0)
-    assert seen == ref_seen
+    stepped = Simulator()
+    step_seen = _workload(stepped)
+    while stepped.step():
+        pass
+    assert seen == step_seen
+    assert sim.now == stepped.now
+    assert ("never", 0) not in seen

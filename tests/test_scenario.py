@@ -115,8 +115,7 @@ def test_catalog_scenarios_bit_identical(path, factory_path):
     factory = getattr(importlib.import_module(module_name), class_name)
     doc = json.load(open(path))
     result = run_scenario(doc, duration_ms=3_500.0)
-    reference = run_app(factory(), "vSoC", duration_ms=3_500.0, seed=0,
-                        fast_forward=False).result
+    reference = run_app(factory(), "vSoC", duration_ms=3_500.0, seed=0).result
     assert result.digest == app_digest([reference])
     assert result.apps[0].fps == reference.fps
     assert result.apps[0].presented == reference.presented

@@ -216,6 +216,25 @@ def test_deadlock_detection():
         sim.run(check_deadlock=True)
 
 
+def test_deadlock_detected_past_a_cancelled_timer():
+    # A cancelled call stays in the heap until popped; with ``until`` short
+    # of it, the run must still see that no live event is left.
+    sim = Simulator()
+    from repro.sim import SimEvent
+
+    never = SimEvent(sim, name="never")
+
+    def stuck():
+        yield never
+
+    sim.spawn(stuck(), name="stuck")
+    sim.schedule(100.0, lambda: None).cancel()
+    with pytest.raises(DeadlockError) as excinfo:
+        sim.run(until=50.0, check_deadlock=True)
+    assert sim.pending_events() == 0
+    assert "stuck" in str(excinfo.value)
+
+
 def test_live_processes_and_pending_events():
     sim = Simulator()
 
