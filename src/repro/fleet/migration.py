@@ -104,6 +104,7 @@ def migrate_session(
     session = source.sessions.get(session_id)
     if session is None:
         raise FleetError(f"worker {source.name!r} does not host {session_id!r}")
+    source.settle(session)
     snapshot = capture_session(session)
     payload = wire if wire is not None else snapshot.to_json().encode("utf-8")
     received = Snapshot.from_json(payload.decode("utf-8"))

@@ -6,7 +6,7 @@ migration, drain and supervision decisions left no causal trace. The
 entire ``repro.fleet`` control plane:
 
 * each session carries **one flow id** from ``session.offer`` through
-  ``session.place`` → ``session.confirm`` → ``session.quantum[i]`` →
+  ``session.place`` → ``session.confirm`` → ``session.quantum[i..j]`` →
   (``session.migrate`` | ``session.lost``) → ``session.complete``, so the
   exported Perfetto trace renders one connected arrow chain per session;
 * migrations emit a **paired** ``migrate.send`` / ``migrate.recv`` span
@@ -165,11 +165,14 @@ class FlightRecorder:
 
     # -- worker progress -----------------------------------------------------
     def quantum(self, worker_name: str, session, first: int, newly: int) -> None:
-        """One tick's worth of whole quanta a session just advanced through.
+        """One settled batch of quanta a session just advanced through.
 
-        The span covers the session-local interval the quanta occupy
-        (``started_at + first·Q`` → where the advance landed), so the
-        worker track shows exactly *when* each session made progress.
+        Workers advance sessions lazily, so one span covers every quantum
+        since the session was last settled (on a read, a completion, or a
+        service-factor change), not one tick's worth. The span covers the
+        session-local interval the quanta occupy (``started_at + first·Q``
+        → where the advance landed), so the worker track shows exactly
+        *when* each session made progress.
         """
         if not self.enabled:
             return

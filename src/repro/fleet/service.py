@@ -330,7 +330,9 @@ class FleetService:
 
     # -- worker faults -------------------------------------------------------
     def apply_plan(self, plan: FaultPlan) -> None:
-        """Schedule the plan's worker faults onto the virtual clock."""
+        """Validate the plan, then schedule its worker faults onto the
+        virtual clock."""
+        plan.validate()
         for event in plan.worker_faults:
             delay = event.time_ms - self.clock.now
             if delay < 0:
@@ -371,7 +373,10 @@ class FleetService:
             owner = self._unconfirmed[session_id]
             worker = self.workers.get(owner)
             session = worker.sessions.get(session_id) if worker else None
-            if session is not None and session.quanta >= 1:
+            if session is None:
+                continue
+            worker.settle(session)
+            if session.quanta >= 1:
                 self._confirm(session_id)
         self._rebalance()
 

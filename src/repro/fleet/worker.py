@@ -19,6 +19,18 @@ which is what makes restore-at-T determinism provable across worker
 boundaries: capture, migrate, resume, and every subsequent quantum is
 bit-identical to the run that never moved.
 
+The same slice invariance lets a worker advance its sessions **lazily**.
+Between two ticks whose service factor is equal, advancing every session
+at each tick performs the same float operations as one advance at the
+last of them, so a tick steps nobody: it records ``(now, factor)`` and
+completes the sessions whose fixed end time has passed. A session is
+stepped only when someone reads it (:meth:`SimWorker.settle`, called by
+migration capture, release, and the admission-confirm check) or when the
+factor changes and every session is flushed to the previous tick's
+``(time, factor)`` first. Sessions placed or adopted since the last tick
+are *fresh*: their pending quanta belong to the next tick, with that
+tick's factor, exactly as per-tick advancement would process them.
+
 Per-session telemetry deliberately excludes placement (which worker, how
 often migrated): those are control-plane facts the service accounts for,
 and keeping them out of the session's own telemetry is what lets a
@@ -27,8 +39,9 @@ migrated and an unmigrated run compare bit-identical.
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError, FleetError
 from repro.fleet.arrivals import SessionSpec
@@ -43,15 +56,19 @@ QUANTUM_MS = 250.0
 JITTER_SPAN = 0.10
 
 _M64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_TWO64 = 2.0 ** 64
 
 
 def _mix64(seed: int, counter: int) -> float:
     """Counter-based uniform in [0, 1): splitmix64 of (seed, counter)."""
-    x = (seed * 0x9E3779B97F4A7C15 + counter * 0xBF58476D1CE4E5B9 + 1) & _M64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
+    x = (seed * _GOLDEN + counter * _MIX1 + 1) & _M64
+    x = ((x ^ (x >> 30)) * _MIX1) & _M64
+    x = ((x ^ (x >> 27)) * _MIX2) & _M64
     x = x ^ (x >> 31)
-    return x / 2.0 ** 64
+    return x / _TWO64
 
 
 class SessionSim:
@@ -72,7 +89,7 @@ class SessionSim:
         self.done = False
 
     # -- advancement ---------------------------------------------------------
-    def _step(self, dt_ms: float, service_factor: float) -> int:
+    def _step(self, dt_ms: float, service_factor: float) -> None:
         u = _mix64(self.spec.seed, self.quanta)
         interval = (
             self.spec.frame_interval_ms
@@ -81,9 +98,7 @@ class SessionSim:
         )
         self.progress += dt_ms / interval
         self.ewma_interval_ms = 0.5 * self.ewma_interval_ms + 0.5 * interval
-        before = self.presented
         self.presented = int(self.progress)
-        return self.presented - before
 
     def advance(self, until_ms: float, service_factor: float = 1.0) -> int:
         """Process all whole quanta ending by ``until_ms``; returns new frames.
@@ -91,21 +106,48 @@ class SessionSim:
         The final (partial) quantum is processed exactly once, when
         ``until_ms`` first reaches the session's end — so any sequence of
         calls covering the same span performs the same operations.
+
+        Whole quanta run in one local loop that inlines :meth:`_step` and
+        :func:`_mix64` (the hash input grows by one counter term per
+        quantum) with their exact operation order; ``_step`` stays the
+        reference and processes the tail.
         """
         if self.done:
             return 0
-        end = self.started_at + self.spec.duration_ms
+        spec = self.spec
+        started = self.started_at
+        end = started + spec.duration_ms
         horizon = min(until_ms, end)
-        newly = 0
-        while self.started_at + (self.quanta + 1) * QUANTUM_MS <= horizon:
-            newly += self._step(QUANTUM_MS, service_factor)
-            self.quanta += 1
+        before = self.presented
+        q = self.quanta
+        if started + (q + 1) * QUANTUM_MS <= horizon:
+            base = spec.frame_interval_ms
+            span = JITTER_SPAN
+            progress = self.progress
+            ewma = self.ewma_interval_ms
+            acc = spec.seed * _GOLDEN + q * _MIX1 + 1
+            while True:
+                x = acc & _M64
+                x = ((x ^ (x >> 30)) * _MIX1) & _M64
+                x = ((x ^ (x >> 27)) * _MIX2) & _M64
+                u = (x ^ (x >> 31)) / _TWO64
+                interval = base * (1.0 + span * (u - 0.5)) * service_factor
+                progress += QUANTUM_MS / interval
+                ewma = 0.5 * ewma + 0.5 * interval
+                q += 1
+                if started + (q + 1) * QUANTUM_MS > horizon:
+                    break
+                acc += _MIX1
+            self.quanta = q
+            self.progress = progress
+            self.ewma_interval_ms = ewma
+            self.presented = int(progress)
         if until_ms >= end:
-            tail = end - (self.started_at + self.quanta * QUANTUM_MS)
+            tail = end - (started + q * QUANTUM_MS)
             if tail > 0:
-                newly += self._step(tail, service_factor)
+                self._step(tail, service_factor)
             self.done = True
-        return newly
+        return self.presented - before
 
     # -- derived telemetry ---------------------------------------------------
     @property
@@ -249,6 +291,17 @@ class SimWorker:
         self.completed = 0
         self.crashes = 0
         self.recorder = NULL_RECORDER  # installed by attach_recorder
+        # Lazy advancement: every hosted session not in ``_fresh`` is
+        # exactly ``advance(_ticked_at, _tick_factor)`` short of its
+        # per-tick state. ``_due`` is a heap of (end, slot, id); an entry
+        # is live while ``_slots[id]`` still holds its slot, and slots
+        # grow with insertion, so slot order is ``sessions`` order.
+        self._ticked_at = clock.now
+        self._tick_factor = 1.0
+        self._fresh: Set[str] = set()
+        self._due: List[Tuple[float, int, str]] = []
+        self._slots: Dict[str, int] = {}
+        self._next_slot = 0
 
     # -- capacity ------------------------------------------------------------
     @property
@@ -280,8 +333,7 @@ class SimWorker:
         if spec.session_id in self.sessions:
             raise FleetError(f"worker {self.name!r} already hosts {spec.session_id!r}")
         session = SessionSim(spec, started_at=self.clock.now)
-        self.sessions[spec.session_id] = session
-        self.load += spec.load
+        self._host(session)
         self.started += 1
         return session
 
@@ -296,19 +348,46 @@ class SimWorker:
             raise FleetError(
                 f"worker {self.name!r} already hosts {session.spec.session_id!r}"
             )
-        self.sessions[session.spec.session_id] = session
+        self._host(session)
+
+    def _host(self, session: SessionSim) -> None:
+        session_id = session.spec.session_id
+        slot = self._next_slot
+        self._next_slot = slot + 1
+        self.sessions[session_id] = session
+        self._slots[session_id] = slot
+        self._fresh.add(session_id)
+        heapq.heappush(
+            self._due,
+            (session.started_at + session.spec.duration_ms, slot, session_id),
+        )
         self.load += session.spec.load
 
     def release(self, session_id: str) -> SessionSim:
-        """Give up a session (migration source side)."""
-        try:
-            session = self.sessions.pop(session_id)
-        except KeyError:
-            raise FleetError(
-                f"worker {self.name!r} does not host {session_id!r}"
-            ) from None
-        self.load -= session.spec.load
+        """Give up a session (migration source side), settled."""
+        session = self.sessions.get(session_id)
+        if session is None:
+            raise FleetError(f"worker {self.name!r} does not host {session_id!r}")
+        self.settle(session)
+        self._unhost(session)
         return session
+
+    def _unhost(self, session: SessionSim) -> None:
+        session_id = session.spec.session_id
+        del self.sessions[session_id]
+        del self._slots[session_id]
+        self._fresh.discard(session_id)
+        self.load -= session.spec.load
+
+    def settle(self, session: SessionSim) -> None:
+        """Bring a hosted session up to the state per-tick advancement
+        would have given it by now; call before reading its state."""
+        if session.spec.session_id in self._fresh:
+            return  # nothing of it is due before the next tick
+        first = session.quanta
+        newly = session.advance(self._ticked_at, self._tick_factor)
+        if session.quanta > first or session.done:
+            self.recorder.quantum(self.name, session, first, newly)
 
     # -- fault hooks ---------------------------------------------------------
     def crash(self) -> None:
@@ -357,19 +436,32 @@ class SimWorker:
             self._tick(now)
 
     def _tick(self, now: float) -> None:
+        """Record ``(now, factor)`` and complete the sessions now due.
+
+        No session is stepped unless the factor differs from the last
+        tick's: then every non-fresh session is first settled at the last
+        tick's ``(time, factor)``. Due sessions complete in ``sessions``
+        order, as per-tick advancement completed them.
+        """
         self.ticks += 1
         factor = self.service_factor()
-        finished: List[SessionSim] = []
-        for session in self.sessions.values():
-            first = session.quanta
-            newly = session.advance(now, factor)
-            if session.quanta > first or session.done:
-                self.recorder.quantum(self.name, session, first, newly)
-            if session.done:
-                finished.append(session)
-        for session in finished:
-            del self.sessions[session.spec.session_id]
-            self.load -= session.spec.load
+        if factor != self._tick_factor:
+            for session in self.sessions.values():
+                self.settle(session)
+        self._ticked_at = now
+        self._tick_factor = factor
+        self._fresh.clear()
+        due = self._due
+        finished: List[Tuple[int, str]] = []
+        while due and due[0][0] <= now:
+            _end, slot, session_id = heapq.heappop(due)
+            if self._slots.get(session_id) == slot:
+                finished.append((slot, session_id))
+        finished.sort()
+        for _slot, session_id in finished:
+            session = self.sessions[session_id]
+            self.settle(session)
+            self._unhost(session)
             self.completed += 1
             if self.on_complete is not None:
                 self.on_complete(self, session)

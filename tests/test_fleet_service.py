@@ -146,6 +146,39 @@ def test_session_partial_quantum_only_processed_at_completion():
     assert session.presented >= frames_before
 
 
+def _reference_advance(session, until_ms, factor):
+    """Per-quantum advancement through ``_step``, the inlined loop's spec."""
+    if session.done:
+        return
+    end = session.started_at + session.spec.duration_ms
+    while session.started_at + (session.quanta + 1) * QUANTUM_MS <= min(until_ms, end):
+        session._step(QUANTUM_MS, factor)
+        session.quanta += 1
+    if until_ms >= end:
+        tail = end - (session.started_at + session.quanta * QUANTUM_MS)
+        if tail > 0:
+            session._step(tail, factor)
+        session.done = True
+
+
+@pytest.mark.parametrize("seed", [0, 7, 12345, 2**32 - 1])
+@pytest.mark.parametrize("duration_ms", [12 * QUANTUM_MS, 12 * QUANTUM_MS + 37.5])
+@pytest.mark.parametrize("factor", [1.0, 1.35, 2.7])
+def test_inlined_advance_matches_step_reference(seed, duration_ms, factor):
+    fast = SessionSim(_spec(duration_ms=duration_ms, seed=seed), started_at=120.0)
+    ref = SessionSim(_spec(duration_ms=duration_ms, seed=seed), started_at=120.0)
+    for until in (120.0, 500.0, 1_370.0, 1_370.0, 2_120.5, 3_500.0, 9_000.0):
+        frames = ref.presented
+        newly = fast.advance(until, factor)
+        _reference_advance(ref, until, factor)
+        assert newly == ref.presented - frames
+        assert (fast.quanta, fast.done) == (ref.quanta, ref.done)
+        assert fast.progress == ref.progress
+        assert fast.ewma_interval_ms == ref.ewma_interval_ms
+        assert fast.presented == ref.presented
+    assert fast.done and fast.presented > 0
+
+
 def test_session_restore_rejects_bad_state():
     session = SessionSim(_spec(), started_at=0.0)
     good = session.snapshot_state()
@@ -231,6 +264,109 @@ def test_migration_to_dead_worker_rejected():
     wb.crash()
     with pytest.raises(FleetError, match="crashed"):
         migrate_session("sX", wa, wb)
+
+
+# ---------------------------------------------------------------------------
+# Lazy advancement: a worker's readers see per-tick state
+# ---------------------------------------------------------------------------
+
+class _EagerWorker(SimWorker):
+    """Reference worker: advances every hosted session on every tick."""
+
+    def settle(self, session):
+        pass  # always current
+
+    def _tick(self, now):
+        self.ticks += 1
+        factor = self.service_factor()
+        finished = []
+        for session in self.sessions.values():
+            session.advance(now, factor)
+            if session.done:
+                finished.append(session)
+        for session in finished:
+            self.release(session.spec.session_id)
+            self.completed += 1
+            self.on_complete(self, session)
+
+
+def _settle_scenario(worker_cls):
+    """Three workers through factor changes, a hang, an adopt-then-migrate
+    before the adopter ticks, and a between-ticks capture; returns every
+    reading of session state in order."""
+    clock = VirtualClock()
+    seen = []
+
+    def on_complete(worker, session):
+        seen.append(("complete", clock.now, worker.name, session.snapshot_state()))
+
+    workers = {
+        name: worker_cls(clock, name, capacity=4.0, on_complete=on_complete)
+        for name in "abc"
+    }
+
+    def start(name, index, duration_ms):
+        workers[name].start_session(
+            _spec(session_id=f"s{index}", duration_ms=duration_ms, seed=index)
+        )
+
+    def checkpoint(label):
+        for name, worker in sorted(workers.items()):
+            for session in worker.sessions.values():
+                worker.settle(session)
+                seen.append((label, clock.now, name, worker.service_factor(),
+                             session.snapshot_state()))
+
+    def migrate(session_id, source, target):
+        record = migrate_session(session_id, workers[source], workers[target])
+        seen.append(("migrate", clock.now, session_id, record.digest))
+
+    for index, duration in enumerate((1_130.0, 2_470.0, 3_000.0, 4_321.0,
+                                      5_555.5, 6_010.0)):
+        start("a", index, duration)
+    start("b", 10, 8_000.0)
+    start("b", 11, 7_640.0)
+    # Due at the same tick, in the reverse of hosting order.
+    start("b", 12, 3_240.0)
+    start("b", 13, 3_210.0)
+    for index in (20, 21, 22):
+        start("c", index, 7_000.0 + index)
+    # A new session between ticks moves a's factor at its next tick.
+    clock.schedule(600.0, start, "a", 6, 2_000.0)
+    clock.schedule(760.0, checkpoint, "factor-change")
+    # a hangs through the ticks at 1500 and 1750; meanwhile s3 is adopted
+    # by b and moved on to c before b's next tick.
+    clock.schedule(1_300.0, workers["a"].hang, 700.0)
+    clock.schedule(1_600.0, migrate, "s3", "a", "b")
+    clock.schedule(1_650.0, migrate, "s3", "b", "c")
+    clock.schedule(1_660.0, checkpoint, "adopt-then-migrate")
+    clock.schedule(2_010.0, checkpoint, "after-hang")
+    clock.schedule(2_380.0, migrate, "s4", "a", "b")
+    clock.schedule(2_390.0, checkpoint, "between-ticks-capture")
+
+    async def main():
+        for name in sorted(workers):
+            clock.spawn(workers[name].run(), name=f"worker.{name}")
+        await clock.run_until(9_000.0)
+        clock.raise_task_failures()
+
+    asyncio.run(main())
+    seen.append(("end", [(w.ticks, w.completed, len(w.sessions))
+                         for _n, w in sorted(workers.items())]))
+    return seen
+
+
+def test_lazy_worker_settles_to_per_tick_state():
+    lazy = _settle_scenario(SimWorker)
+    assert lazy == _settle_scenario(_EagerWorker)
+    labels = {entry[0] for entry in lazy}
+    assert {"factor-change", "adopt-then-migrate", "after-hang",
+            "between-ticks-capture"} <= labels
+    checkpoints = [entry for entry in lazy if entry[0] not in
+                   ("complete", "migrate", "end")]
+    assert len({entry[3] for entry in checkpoints if entry[2] == "a"}) >= 2
+    _end, workers = lazy[-1]
+    assert all(hosted == 0 for _ticks, _done, hosted in workers)
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +603,17 @@ def test_service_rejects_fault_for_unknown_worker():
     service = FleetService(n_workers=2, worker_capacity=50.0)
     with pytest.raises(FleetError, match="w99"):
         service.serve(trace, plan=plan)
+
+
+def test_service_rejects_overlapping_worker_fault_windows():
+    plan = (
+        FaultPlan()
+        .slow_heartbeat(1_000.0, "w00", duration_ms=3_000.0)
+        .slow_heartbeat(2_000.0, "w00", duration_ms=3_000.0)
+    )
+    service = FleetService(n_workers=2, worker_capacity=50.0)
+    with pytest.raises(ConfigurationError, match="w00"):
+        service.apply_plan(plan)
 
 
 def test_admission_sheds_under_capacity_pressure():
