@@ -13,6 +13,7 @@ import random
 
 from repro.emulators import make_gae, make_vsoc
 from repro.hw import HIGH_END_DESKTOP, build_machine
+from repro.metrics.collectors import maintenances
 from repro.sim import Simulator, Timeout
 from repro.units import UHD_DISPLAY_BUFFER_BYTES, UHD_FRAME_BYTES
 
@@ -48,7 +49,7 @@ def one_frame(emulator, sim):
 
 
 def report(label, emulator, frames=3):
-    events = emulator.trace.of_kind("coherence.maintenance")
+    events = maintenances(emulator.trace)
     flushes = emulator.trace.of_kind("coherence.flush")
     total = sum(e["duration"] for e in events)
     print(f"\n{label}")
@@ -56,7 +57,7 @@ def report(label, emulator, frames=3):
           f"({len(flushes)} guest-memory flushes)")
     for e in events[-4:]:
         mib = e["bytes"] / (1 << 20)
-        print(f"    t={e.time:8.2f} ms  {e['path']:<22s} {mib:5.1f} MiB "
+        print(f"    t={e.end:8.2f} ms  {e['path']:<22s} {mib:5.1f} MiB "
               f"in {e['duration']:.2f} ms")
     print(f"  total copy time over {frames} frames: {total:.2f} ms")
 

@@ -16,6 +16,7 @@ import random
 from repro.emulators import make_vsoc
 from repro.hw import HIGH_END_DESKTOP, build_machine
 from repro.hw.device import DeviceKind, OpCost, PhysicalDevice
+from repro.metrics.collectors import maintenances
 from repro.sim import Simulator, Timeout
 from repro.units import UHD_FRAME_BYTES, gb_per_s
 
@@ -64,7 +65,7 @@ def main() -> None:
 
     stats = emulator.engine.stats
     prefetched = [
-        r for r in emulator.trace.of_kind("coherence.maintenance")
+        r for r in maintenances(emulator.trace)
         if r["path"] == "prefetch"
     ]
     print("Ported virtual NPU into vSoC (camera → NPU pipeline, 30 frames)")

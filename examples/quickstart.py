@@ -17,6 +17,7 @@ import random
 
 from repro.emulators import make_vsoc
 from repro.hw import HIGH_END_DESKTOP, build_machine
+from repro.metrics.collectors import maintenances
 from repro.sim import Simulator, Timeout
 from repro.units import MIB, UHD_FRAME_BYTES
 
@@ -49,7 +50,7 @@ def main() -> None:
     sim.run(until=5_000.0)
 
     stats = emulator.engine.stats
-    coherence = emulator.trace.values("coherence.maintenance", "duration")
+    coherence = [e["duration"] for e in maintenances(emulator.trace)]
     print("vSoC quickstart — camera → GPU pipeline, 120 UHD frames")
     print(f"  prediction accuracy : {100 * stats.accuracy:.1f}% "
           f"({stats.hits}/{stats.predictions} predictions)")

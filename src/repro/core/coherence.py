@@ -330,7 +330,7 @@ class UnifiedPrefetchProtocol(CoherenceProtocol):
         round-trip path keeps failing.
         """
         src = region.last_writer_location or HOST_LOCATION
-        span = self._obs.tracer.begin(
+        span = self._trace.begin(
             "coherence.copy", "coherence", cat="coherence", flow=region.flow,
             region=region.region_id, bytes=region.dirty_bytes,
         )
@@ -355,7 +355,7 @@ class UnifiedPrefetchProtocol(CoherenceProtocol):
                     raise
                 ctl.note_failure(level, reason=type(err).__name__)
                 if level >= LEVEL_GUEST_ROUNDTRIP:
-                    self._obs.tracer.end(span, path="failed")
+                    self._trace.end(span, path="failed")
                     raise DegradedModeError(
                         f"region {region.region_id}: maintenance failed even on "
                         f"the {LEVEL_NAMES[LEVEL_GUEST_ROUNDTRIP]} path"
@@ -364,18 +364,10 @@ class UnifiedPrefetchProtocol(CoherenceProtocol):
             if ctl is not None:
                 ctl.note_success(level)
             region.note_copy(reader_loc)
-            self._obs.tracer.end(span, path=tag, duration=duration)
             self._obs.registry.histogram("coherence.duration_ms", path=tag).observe(duration)
-            self._trace.record(
-                self._sim.now,
-                "coherence.maintenance",
-                duration=duration,
-                bytes=region.dirty_bytes,
-                path=tag,
-                region=region.region_id,
-            )
+            self._trace.end(span, path=tag, duration=duration)
             return duration
-        self._obs.tracer.end(span, path="failed")
+        self._trace.end(span, path="failed")
         raise DegradedModeError(
             f"region {region.region_id}: maintenance did not converge within "
             f"{self.MAX_MAINTENANCE_ROUNDS} ladder rounds"
@@ -457,7 +449,7 @@ class UnifiedWriteInvalidate(CoherenceProtocol):
         ):
             yield region.write_fence.wait()
         if not region.is_valid_at(reader_loc):
-            span = self._obs.tracer.begin(
+            span = self._trace.begin(
                 "coherence.copy", "coherence", cat="coherence", flow=region.flow,
                 region=region.region_id, bytes=region.dirty_bytes,
             )
@@ -467,18 +459,10 @@ class UnifiedWriteInvalidate(CoherenceProtocol):
                 region.dirty_bytes,
             )
             region.note_copy(reader_loc)
-            self._obs.tracer.end(span, path="write-invalidate", duration=duration)
             self._obs.registry.histogram(
                 "coherence.duration_ms", path="write-invalidate"
             ).observe(duration)
-            self._trace.record(
-                self._sim.now,
-                "coherence.maintenance",
-                duration=duration,
-                bytes=region.dirty_bytes,
-                path="write-invalidate",
-                region=region.region_id,
-            )
+            self._trace.end(span, path="write-invalidate", duration=duration)
         return self._sim.now - start
 
     def executor_after_write(self, region, writer_vdev, writer_loc):
@@ -487,7 +471,7 @@ class UnifiedWriteInvalidate(CoherenceProtocol):
 
     def executor_before_read(self, region, reader_vdev, reader_loc):
         if not region.is_valid_at(reader_loc):
-            span = self._obs.tracer.begin(
+            span = self._trace.begin(
                 "coherence.copy", "coherence", cat="coherence", flow=region.flow,
                 region=region.region_id, bytes=region.dirty_bytes,
             )
@@ -497,18 +481,10 @@ class UnifiedWriteInvalidate(CoherenceProtocol):
                 region.dirty_bytes,
             )
             region.note_copy(reader_loc)
-            self._obs.tracer.end(span, path="write-invalidate-net", duration=duration)
             self._obs.registry.histogram(
                 "coherence.duration_ms", path="write-invalidate-net"
             ).observe(duration)
-            self._trace.record(
-                self._sim.now,
-                "coherence.maintenance",
-                duration=duration,
-                bytes=region.dirty_bytes,
-                path="write-invalidate-net",
-                region=region.region_id,
-            )
+            self._trace.end(span, path="write-invalidate-net", duration=duration)
 
 
 class UnifiedBroadcast(CoherenceProtocol):
@@ -558,17 +534,17 @@ class UnifiedBroadcast(CoherenceProtocol):
             if prefetch is not None and reader_loc in region.prefetch_targets:
                 yield prefetch  # join the in-flight broadcast
             if not region.is_valid_at(reader_loc):  # miss, or the push failed
+                span = self._trace.begin(
+                    "coherence.copy", "coherence", cat="coherence", flow=region.flow,
+                    region=region.region_id, bytes=region.dirty_bytes,
+                )
                 duration = yield from self._planner.copy_unified_resilient(
                     region.last_writer_location or HOST_LOCATION,
                     reader_loc,
                     region.dirty_bytes,
                 )
                 region.note_copy(reader_loc)
-                self._trace.record(
-                    self._sim.now, "coherence.maintenance",
-                    duration=duration, bytes=region.dirty_bytes,
-                    path="broadcast-miss", region=region.region_id,
-                )
+                self._trace.end(span, path="broadcast-miss", duration=duration)
         return self._sim.now - start
 
     def executor_after_write(self, region, writer_vdev, writer_loc):
@@ -593,7 +569,7 @@ class UnifiedBroadcast(CoherenceProtocol):
         yield  # pragma: no cover - generator form required by the interface
 
     def _push(self, region, src, dst):
-        span = self._obs.tracer.begin(
+        span = self._trace.begin(
             "coherence.copy", "coherence", cat="coherence", flow=region.flow,
             region=region.region_id, bytes=region.dirty_bytes, dst=dst,
         )
@@ -605,24 +581,14 @@ class UnifiedBroadcast(CoherenceProtocol):
             # A failed push only costs bandwidth savings: the reader-side
             # safety net re-copies on demand. Never poison the joiners.
             self.broadcast_failures += 1
-            self._obs.tracer.end(span, path="broadcast", failed=type(err).__name__)
-            self._trace.record(
-                self._sim.now, "broadcast.failed",
-                bytes=region.dirty_bytes, region=region.region_id,
-                error=type(err).__name__,
-            )
+            self._trace.end(span, path="broadcast", failed=type(err).__name__)
             return 0.0
         region.note_copy(dst)
         self.broadcast_copies += 1
-        self._obs.tracer.end(span, path="broadcast", duration=duration)
         self._obs.registry.histogram(
             "coherence.duration_ms", path="broadcast"
         ).observe(duration)
-        self._trace.record(
-            self._sim.now, "coherence.maintenance",
-            duration=duration, bytes=region.dirty_bytes,
-            path="broadcast", region=region.region_id,
-        )
+        self._trace.end(span, path="broadcast", duration=duration)
         return duration
 
     @staticmethod
@@ -636,17 +602,17 @@ class UnifiedBroadcast(CoherenceProtocol):
             if prefetch is not None and reader_loc in region.prefetch_targets:
                 yield prefetch
             if not region.is_valid_at(reader_loc):  # miss, or the push failed
+                span = self._trace.begin(
+                    "coherence.copy", "coherence", cat="coherence", flow=region.flow,
+                    region=region.region_id, bytes=region.dirty_bytes,
+                )
                 duration = yield from self._planner.copy_unified_resilient(
                     region.last_writer_location or HOST_LOCATION,
                     reader_loc,
                     region.dirty_bytes,
                 )
                 region.note_copy(reader_loc)
-                self._trace.record(
-                    self._sim.now, "coherence.maintenance",
-                    duration=duration, bytes=region.dirty_bytes,
-                    path="broadcast-net", region=region.region_id,
-                )
+                self._trace.end(span, path="broadcast-net", duration=duration)
 
 
 class GuestMemoryWriteInvalidate(CoherenceProtocol):
@@ -698,44 +664,31 @@ class GuestMemoryWriteInvalidate(CoherenceProtocol):
             region.note_copy(GUEST_LOCATION)
             region.last_flush_duration = 0.0
             return
-        span = self._obs.tracer.begin(
+        span = self._trace.begin(
             "coherence.flush", "coherence", cat="coherence", flow=region.flow,
             region=region.region_id, bytes=region.dirty_bytes,
         )
         duration = yield from self._planner.copy_via_boundary_resilient(region.dirty_bytes)
         region.note_copy(GUEST_LOCATION)
         region.last_flush_duration = duration
-        self._obs.tracer.end(span, duration=duration)
-        self._trace.record(
-            self._sim.now,
-            "coherence.flush",
-            duration=duration,
-            bytes=region.dirty_bytes,
-            region=region.region_id,
-        )
+        self._trace.end(span, duration=duration)
 
     def executor_before_read(self, region, reader_vdev, reader_loc):
         """Fetch: guest memory → reader's copy (second boundary crossing)."""
         valid = self._valid_vdevs.setdefault(region.region_id, set())
         if reader_vdev in valid or reader_vdev == "cpu":
             return  # guest CPU reads its own memory mapping for free
-        span = self._obs.tracer.begin(
+        span = self._trace.begin(
             "coherence.copy", "coherence", cat="coherence", flow=region.flow,
             region=region.region_id, bytes=region.dirty_bytes,
         )
         duration = yield from self._planner.copy_via_boundary_resilient(region.dirty_bytes)
         valid.add(reader_vdev)
         region.note_copy(reader_loc)
-        flush_cost = region.last_flush_duration
-        self._obs.tracer.end(span, path="guest-memory", duration=duration)
         self._obs.registry.histogram(
             "coherence.duration_ms", path="guest-memory"
         ).observe(duration)
-        self._trace.record(
-            self._sim.now,
-            "coherence.maintenance",
-            duration=duration + flush_cost,
-            bytes=region.dirty_bytes,
-            path="guest-memory",
-            region=region.region_id,
-        )
+        # The maintenance costs both boundary crossings: this fetch plus
+        # the writer's flush.
+        self._trace.end(span, path="guest-memory",
+                        duration=duration + region.last_flush_duration)

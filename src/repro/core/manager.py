@@ -13,7 +13,8 @@ Metric definitions (shared with §5.2):
 * **slack interval** — host write retirement → next cross-device
   ``begin_access`` on the same region;
 * **coherence cost** — duration of one maintenance (traced by the
-  protocols as ``coherence.maintenance`` records).
+  protocols as ``coherence.copy``/``prefetch.copy`` spans whose end
+  carries ``duration``; see :func:`repro.metrics.collectors.maintenances`).
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ class SvmManager:
         # Slack is defined from write retirement to access *arrival*, so
         # sample it before the mapping work consumes time.
         slack = self._slack_for(region) if usage.reads else None
-        access_span = self._obs.tracer.begin(
+        access = self._trace.begin(
             "svm.begin_access", vdev, cat="svm", flow=region.flow,
             region=region_id, usage=usage.value, bytes=window,
         )
@@ -184,38 +185,27 @@ class SvmManager:
             region.write_in_flight = True
 
         latency = self._sim.now - start
-        self._obs.tracer.end(access_span, latency=latency)
         self._obs.registry.histogram("svm.access_latency_ms", vdev=vdev).observe(latency)
-        if self._trace.wants("svm.access_latency"):
-            extra = {}
-            if self.degradation is not None and self.degradation.degraded:
-                # Tag accesses made under degraded coherence so metrics can
-                # attribute latency spikes to the fault, not the workload.
-                extra["degraded_level"] = self.degradation.level
-            self._trace.record(
-                self._sim.now,
-                "svm.access_latency",
-                region=region_id,
-                vdev=vdev,
-                usage=usage.value,
-                latency=latency,
-                bytes=window,
-                **extra,
-            )
+        if self.degradation is not None and self.degradation.degraded:
+            # Tag accesses made under degraded coherence so metrics can
+            # attribute latency spikes to the fault, not the workload.
+            self._trace.end(access, latency=latency,
+                            degraded_level=self.degradation.level)
+        else:
+            self._trace.end(access, latency=latency)
         return latency
 
     def end_access(self, vdev: str, region_id: int) -> None:
         """Close an access bracket opened by ``begin_access``."""
         region = self.get(region_id)
         opened = region.close_access(vdev)
-        if self._trace.wants("svm.access_end"):
-            self._trace.record(
-                self._sim.now,
-                "svm.access_end",
-                region=region_id,
-                vdev=vdev,
-                held=self._sim.now - opened.start_time,
-            )
+        self._trace.record(
+            self._sim.now,
+            "svm.access_end",
+            region=region_id,
+            vdev=vdev,
+            held=self._sim.now - opened.start_time,
+        )
 
     def _slack_for(self, region: SvmRegion) -> Optional[float]:
         """*Natural* slack: write retirement → read arrival, minus any
@@ -255,10 +245,7 @@ class SvmManager:
         region.write_complete_time = self._sim.now
         self._ensure_backing(region, location)
         self.twin.on_write(region_id, vdev, location, nbytes)
-        self._trace.record(
-            self._sim.now, "svm.write_retired", region=region_id, vdev=vdev, bytes=nbytes
-        )
-        self._obs.tracer.instant(
+        self._trace.instant(
             "svm.write_retired", vdev, cat="svm", flow=region.flow,
             region=region_id, bytes=nbytes,
         )

@@ -179,13 +179,6 @@ class PrefetchEngine:
         region.prefetch_targets = targets
         self.stats.launched += 1
         self._obs.registry.counter("prefetch.launched").inc()
-        self._trace.record(
-            self._sim.now,
-            "prefetch.start",
-            region=region.region_id,
-            targets=sorted(targets),
-            bytes=region.dirty_bytes,
-        )
 
         region.pending_compensation = self._compensation(
             predicted.vedge, pedge, writer_loc, targets, region.dirty_bytes
@@ -201,7 +194,7 @@ class PrefetchEngine:
         )
 
     def _prefetch_copy(self, region: SvmRegion, src: str, dst: str, pedge):
-        span = self._obs.tracer.begin(
+        span = self._trace.begin(
             "prefetch.copy", "prefetch", cat="coherence", flow=region.flow,
             region=region.region_id, src=src, dst=dst, bytes=region.dirty_bytes,
         )
@@ -210,7 +203,6 @@ class PrefetchEngine:
                 src, dst, region.dirty_bytes
             )
         except RECOVERABLE_COPY_ERRORS as err:
-            self._obs.tracer.end(span, failed=type(err).__name__)
             # A dead prefetch must not poison its joiners: readers re-check
             # validity after the join and fall back to sync maintenance.
             self.stats.prefetch_failures += 1
@@ -218,29 +210,14 @@ class PrefetchEngine:
                 self.degradation.note_failure(
                     LEVEL_PREFETCHED, reason=type(err).__name__
                 )
-            self._trace.record(
-                self._sim.now,
-                "prefetch.failed",
-                bytes=region.dirty_bytes,
-                region=region.region_id,
-                target=dst,
-                error=type(err).__name__,
-            )
+            self._trace.end(span, failed=type(err).__name__)
             return None
-        self._obs.tracer.end(span, duration=duration)
         region.note_copy(dst)
         if self.degradation is not None:
             self.degradation.note_success(LEVEL_PREFETCHED)
         if pedge is not None:
             self._twin.note_prefetch_duration(pedge, duration)
-        self._trace.record(
-            self._sim.now,
-            "coherence.maintenance",
-            duration=duration,
-            bytes=region.dirty_bytes,
-            path="prefetch",
-            region=region.region_id,
-        )
+        self._trace.end(span, path="prefetch", duration=duration)
         return duration
 
     @staticmethod
@@ -348,10 +325,7 @@ class PrefetchEngine:
                     self._suspended[vkey] = self.suspend_cooldown
                     self._suspended_since[vkey] = self._sim.now
                     self._failures[vkey] = 0
-                    self._trace.record(
-                        self._sim.now, "prefetch.suspend", flow=str(vkey)
-                    )
-                    self._obs.tracer.instant(
+                    self._trace.instant(
                         "prefetch.suspend", "prefetch", cat="coherence", vkey=str(vkey),
                     )
         registry = self._obs.registry

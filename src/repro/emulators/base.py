@@ -56,9 +56,8 @@ from repro.hw.bus import Bus
 from repro.hw.machine import HostMachine
 from repro.hw.device import DeviceKind, PhysicalDevice
 from repro.obs import DISABLED, Observability
-from repro.obs.span import NO_FLOW
 from repro.sim import FifoQueue, SimEvent, Simulator, Timeout
-from repro.sim.tracing import TraceLog
+from repro.sim.tracing import NO_FLOW, TraceLog
 from repro.units import gb_per_s
 
 #: The common set of paravirtualized virtual SoC devices (§3.1).
@@ -170,9 +169,18 @@ class Emulator:
         self.sim = sim
         self.machine = machine
         self.config = config
-        self.trace = trace if trace is not None else TraceLog()
         self.rng = rng if rng is not None else random.Random(0)
         self.obs = obs if obs is not None else DISABLED
+        # One event ring per run: an observed emulator records into the
+        # ring its Observability exports.
+        if trace is None:
+            trace = self.obs.tracer if self.obs.enabled else TraceLog(sim)
+        elif self.obs.enabled and trace is not self.obs.tracer:
+            raise ConfigurationError(
+                "an observed emulator records into obs.tracer; "
+                "pass trace=obs.tracer or no trace"
+            )
+        self.trace = trace
 
         # The boundary bus is per-emulator: its effective bandwidth differs
         # between implementations (Table 2 coherence-cost spread).
@@ -212,7 +220,7 @@ class Emulator:
         from repro.guest.transport import VirtioTransport  # local: avoids cycle
 
         self.transport = VirtioTransport(
-            sim, kick_cost=config.dispatch_cost_ms, obs=self.obs
+            sim, kick_cost=config.dispatch_cost_ms, trace=self.trace, obs=self.obs
         )
         self.fence_table = VirtualFenceTable(sim)
         self._vdevs: Dict[str, _VirtualDevice] = {}
@@ -432,7 +440,7 @@ class Emulator:
         if flow != NO_FLOW:
             for region in (*read_regions, *write_regions):
                 region.flow = flow
-        stage_span = self.obs.tracer.begin(
+        stage_span = self.trace.begin(
             f"stage:{op}", vdev, cat="stage", flow=flow,
             op=op, reads=len(read_regions), writes=len(write_regions),
         )
@@ -520,18 +528,12 @@ class Emulator:
             if compensation > 0:
                 yield cmd.done
                 yield Timeout(compensation)
-                self.trace.record(
-                    self.sim.now,
-                    "svm.compensation",
-                    vdev=vdev,
-                    compensation=compensation,
-                )
 
         for region in (*read_regions, *write_regions):
             if region.open_accessors and vdev in region.open_accessors:
                 self.manager.end_access(vdev, region.region_id)
 
-        self.obs.tracer.end(
+        self.trace.end(
             stage_span,
             access_latency=access_latency,
             compensation=compensation,
@@ -565,7 +567,7 @@ class Emulator:
     def _executor(self, vdev: _VirtualDevice):
         """Host-side thread of one virtual device: drain its command queue."""
         manager = self.manager
-        tracer = self.obs.tracer
+        trace = self.trace
         location = self.vdev_location(vdev.name)
         exec_track = f"{vdev.name}/exec"
         while True:
@@ -576,20 +578,21 @@ class Emulator:
                 # accounted; executing it would double-fire ``done``.
                 continue
             if isinstance(command, WaitFenceCommand):
-                span = tracer.begin(
+                span = trace.begin(
                     "fence.wait", exec_track, cat="fence", flow=command.flow
                 )
                 yield command.fence.wait()
-                tracer.end(span)
+                trace.end(span)
             elif isinstance(command, SignalFenceCommand):
                 command.fence.signal()
-                tracer.instant(
+                trace.instant(
                     "fence.signal", exec_track, cat="fence", flow=command.flow
                 )
             elif isinstance(command, ExecCommand):
-                span = tracer.begin(
+                span = trace.begin(
                     f"exec:{command.op}", exec_track, cat="exec",
-                    flow=command.flow, op=command.op, bytes=command.nbytes,
+                    flow=command.flow, vdev=vdev.name, op=command.op,
+                    bytes=command.nbytes,
                 )
                 for region in command.reads:
                     yield from manager.host_before_read(
@@ -606,15 +609,7 @@ class Emulator:
                 command.done.fire(self.sim.now)
                 vdev.flow.complete()
                 vdev.outstanding.pop(command, None)
-                tracer.end(span, queue_delay=self.sim.now - command.dispatched_at)
-                if self.trace.wants("host.op_retired"):
-                    self.trace.record(
-                        self.sim.now,
-                        "host.op_retired",
-                        vdev=vdev.name,
-                        op=command.op,
-                        queue_delay=self.sim.now - command.dispatched_at,
-                    )
+                trace.end(span, queue_delay=self.sim.now - command.dispatched_at)
             else:  # pragma: no cover - defensive
                 raise ConfigurationError(f"unknown command {command!r}")
 

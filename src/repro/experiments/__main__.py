@@ -530,9 +530,6 @@ def main(argv=None) -> int:
                                help="simulated ms to observe (default 8000)")
     observe_group.add_argument("--seed", type=int, default=0,
                                help="run seed (default 0)")
-    observe_group.add_argument("--include-tracelog", action="store_true",
-                               help="also digest legacy TraceLog records into "
-                                    "the exported trace")
     observe_group.add_argument("--reservoir", type=int, default=None,
                                metavar="N",
                                help="per-instrument sample retention (gauge "
@@ -541,7 +538,7 @@ def main(argv=None) -> int:
     observe_group.add_argument("--max-spans", type=int, default=None,
                                metavar="N",
                                help="bounded ring mode: keep only the newest "
-                                    "N spans/instants (evictions are counted "
+                                    "N trace events (evictions are counted "
                                     "and surfaced; attribution refuses "
                                     "truncated traces)")
     explain_group = parser.add_argument_group("explain options")
@@ -632,7 +629,6 @@ def _dispatch(args, parser) -> int:
             export_path=args.export,
             metrics_path=args.metrics,
             seed=args.seed,
-            include_tracelog=args.include_tracelog,
             reservoir=args.reservoir,
             max_spans=args.max_spans,
         )

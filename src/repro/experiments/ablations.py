@@ -195,7 +195,7 @@ def sweep_buffering(
     for depth in depths:
         sim = Simulator()
         machine = build_machine(sim, HIGH_END_DESKTOP)
-        trace = TraceLog()
+        trace = TraceLog(sim)
         emulator = EMULATOR_FACTORIES["vSoC"](
             sim, machine, trace=trace, rng=random.Random(seed)
         )

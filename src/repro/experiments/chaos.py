@@ -141,7 +141,7 @@ def run_chaos(
 
     sim = Simulator()
     machine = build_machine(sim, machine_spec)
-    trace = TraceLog()
+    trace = TraceLog(sim)
     make = EMULATOR_FACTORIES[emulator_name]
     emulator: Emulator = make(sim, machine, trace=trace, rng=random.Random(seed))
     if watchdog_margin is not None:

@@ -82,7 +82,6 @@ class RunSpec:
     machine_spec: MachineSpec = HIGH_END_DESKTOP
     duration_ms: float = 22_000.0
     seed: int = 0
-    trace_kinds: Optional[Tuple[str, ...]] = None
     emulator_factory: Optional[str] = None
     emulator_kwargs: Mapping[str, Any] = field(default_factory=dict)
     #: Capture a TelemetrySnapshot in the worker (see repro.obs.fleet).
@@ -137,7 +136,7 @@ class StatsSummary:
             duration_ms=stats.duration_ms,
             access_latency_samples=tuple(stats.access_latencies()),
             access_bytes_total=sum(
-                int(v) for v in stats.trace.values("svm.access_latency", "bytes")
+                int(v) for v in stats.trace.values("svm.begin_access", "bytes")
             ),
             coherence_samples=tuple(stats.coherence_durations()),
             slack_samples=tuple(stats.slack_intervals()),
@@ -320,7 +319,6 @@ def execute_spec(spec: Spec) -> Any:
         machine_spec=spec.machine_spec,
         duration_ms=spec.duration_ms,
         seed=spec.seed,
-        trace_kinds=list(spec.trace_kinds) if spec.trace_kinds is not None else None,
         factory=factory,
         telemetry=spec.telemetry,
         attribution=spec.attribution,
@@ -491,14 +489,12 @@ def specs_for_apps(
     machine_spec: MachineSpec = HIGH_END_DESKTOP,
     duration_ms: float = 22_000.0,
     seed: int = 0,
-    trace_kinds: Optional[Sequence[str]] = None,
     emulator_factory: Optional[str] = None,
     emulator_kwargs: Optional[Mapping[str, Any]] = None,
     telemetry: bool = False,
     attribution: bool = False,
 ) -> List[RunSpec]:
     """RunSpecs for a catalog parameter list on one emulator/machine."""
-    kinds = tuple(trace_kinds) if trace_kinds is not None else None
     return [
         RunSpec(
             app_factory=path,
@@ -507,7 +503,6 @@ def specs_for_apps(
             machine_spec=machine_spec,
             duration_ms=duration_ms,
             seed=seed,
-            trace_kinds=kinds,
             emulator_factory=emulator_factory,
             emulator_kwargs=dict(emulator_kwargs or {}),
             telemetry=telemetry,

@@ -120,14 +120,12 @@ def run_measurement(
         result.region_sizes.extend(int(r["size"]) for r in trace.of_kind("svm.alloc"))
         result.coherence_durations.extend(run.stats.coherence_durations())
         result.slack_intervals.extend(run.stats.slack_intervals())
-        total_calls += len(trace.of_kind("svm.access_latency")) + len(
-            trace.of_kind("svm.access_end")
-        )
+        total_calls += trace.count("svm.begin_access") + trace.count("svm.access_end")
         # -- the §2.3 observations -----------------------------------------
         per_region_accessors: Dict[int, set] = {}
         per_region_usage: Dict[int, List[str]] = {}
-        for record in trace.of_kind("svm.access_latency"):
-            vdev = record["vdev"]
+        for record in trace.of_kind("svm.begin_access"):
+            vdev = record.track
             result.accesses_by_vdev[vdev] = result.accesses_by_vdev.get(vdev, 0) + 1
             rid = record["region"]
             per_region_accessors.setdefault(rid, set()).add(vdev)

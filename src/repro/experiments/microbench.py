@@ -87,7 +87,7 @@ def run_svm_microbench(
     """Run the SVM microbenchmark for one emulator on one machine."""
     sim = Simulator()
     machine = build_machine(sim, machine_spec)
-    trace = TraceLog()
+    trace = TraceLog(sim)
     emulator = EMULATOR_FACTORIES[emulator_name](
         sim, machine, trace=trace, rng=random.Random(seed)
     )

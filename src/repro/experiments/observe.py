@@ -40,7 +40,6 @@ from repro.obs import (
     write_metrics,
 )
 from repro.sim import Simulator
-from repro.sim.tracing import TraceLog
 
 #: Observable workloads, one representative app per Table 1 category.
 APPS: Dict[str, Callable[[], App]] = {
@@ -79,20 +78,17 @@ def run_observe(
     duration_ms: float = DEFAULT_DURATION_MS,
     seed: int = 0,
     machine_spec=HIGH_END_DESKTOP,
-    include_tracelog: bool = False,
     reservoir: Optional[int] = None,
     max_spans: Optional[int] = None,
 ) -> ObserveResult:
     """Run one observed app; returns the trace + metrics dicts.
 
-    ``include_tracelog`` digests the legacy :class:`TraceLog` records into
-    the exported trace as instant events (one thread per record ``vdev``),
-    so pre-observability instrumentation shows up alongside the spans.
-    ``reservoir`` overrides the registry's per-instrument sample retention
-    (gauge timelines and histogram reservoirs; default 512).
-    ``max_spans`` puts the tracer in bounded ring mode: only the newest N
-    spans/instants survive and :attr:`Tracer.dropped_spans` counts the
-    evictions (surfaced in the CLI summary and export metadata).
+    The exported trace is the run's whole event ring. ``reservoir``
+    overrides the registry's per-instrument sample retention (gauge
+    timelines and histogram reservoirs; default 512). ``max_spans`` caps
+    the ring: only the newest N completed events survive and
+    :attr:`TraceLog.dropped_spans` counts the evictions (surfaced in the
+    CLI summary and export metadata).
     """
     if app not in APPS:
         raise ValueError(f"unknown app {app!r}; choose from {sorted(APPS)}")
@@ -103,10 +99,9 @@ def run_observe(
 
     sim = Simulator()
     machine = build_machine(sim, machine_spec)
-    tracelog = TraceLog()
     obs = Observability(sim, reservoir=reservoir, max_spans=max_spans)
     make = EMULATOR_FACTORIES[emulator]
-    emu = make(sim, machine, trace=tracelog, rng=random.Random(seed), obs=obs)
+    emu = make(sim, machine, rng=random.Random(seed), obs=obs)
 
     workload = APPS[app]()
     workload.fps.attach_registry(obs.registry)
@@ -118,11 +113,8 @@ def run_observe(
     sim.run(until=duration_ms)
     result = workload.collect(emulator, duration_ms)
 
-    ResilienceStats(tracelog).to_registry(obs.registry)
-    trace_dict = obs.export_trace(
-        track_groups=emu.track_groups(),
-        tracelog=tracelog if include_tracelog else None,
-    )
+    ResilienceStats(obs.tracer).to_registry(obs.registry)
+    trace_dict = obs.export_trace(track_groups=emu.track_groups())
     metrics_dict = obs.export_metrics(extra={
         "app": result.app,
         "category": result.category,
@@ -146,15 +138,13 @@ def cmd_observe(
     export_path: Optional[str] = None,
     metrics_path: Optional[str] = None,
     seed: int = 0,
-    include_tracelog: bool = False,
     reservoir: Optional[int] = None,
     max_spans: Optional[int] = None,
 ) -> int:
     """CLI body: run, validate, write artifacts, print a digest."""
     run = run_observe(
         app=app, emulator=emulator, duration_ms=duration_ms, seed=seed,
-        include_tracelog=include_tracelog, reservoir=reservoir,
-        max_spans=max_spans,
+        reservoir=reservoir, max_spans=max_spans,
     )
     errors = validate_chrome_trace(run.trace)
     if errors:
@@ -167,7 +157,7 @@ def cmd_observe(
     print(f"Observed {app!r} on {emulator!r} for {duration_ms:.0f} ms simulated:")
     print(f"  FPS: {run.result.fps:.1f} "
           f"(presented {run.result.presented}, dropped {sum(run.result.dropped.values())})")
-    print(f"  spans: {len(tracer.spans)}  instants: {len(tracer.instants)}  "
+    print(f"  spans: {len(tracer.spans())}  instants: {len(tracer.instants())}  "
           f"trace events: {len(events)}")
     if tracer.max_spans is not None:
         print(f"  span retention: ring (max_spans={tracer.max_spans})  "

@@ -64,7 +64,7 @@ def build_harness(
     """Assemble one run; identical arguments ⇒ bit-identical behaviour."""
     sim = Simulator()
     machine = build_machine(sim, machine_spec)
-    trace = TraceLog()
+    trace = TraceLog(sim)
     make = EMULATOR_FACTORIES[emulator_name]
     emulator = make(sim, machine, trace=trace, rng=random.Random(seed))
     app = APP_FACTORIES[app_name]()
@@ -76,8 +76,8 @@ def build_harness(
 def trace_tuples(trace: TraceLog) -> List[Tuple[float, str, tuple]]:
     """A trace reduced to comparable tuples (bit-identity checks)."""
     return [
-        (record.time, record.kind, tuple(sorted(record.fields.items())))
-        for record in trace._records
+        (record.end, record.kind, tuple(sorted(record.fields.items())))
+        for record in trace
     ]
 
 
@@ -199,7 +199,7 @@ def snapshot_roundtrip_check(
     sim = Simulator()
     machine = build_machine(sim, HIGH_END_DESKTOP)
     bare = EMULATOR_FACTORIES[emulator_name](
-        sim, machine, trace=TraceLog(), rng=random.Random(0)
+        sim, machine, trace=TraceLog(sim), rng=random.Random(0)
     )
     reloaded.restore_into(bare)
     recaptured = Snapshot.capture(bare, recipe=reloaded.recipe)

@@ -56,17 +56,15 @@ def run_app(
     machine_spec: MachineSpec = HIGH_END_DESKTOP,
     duration_ms: float = DEFAULT_DURATION_MS,
     seed: int = 0,
-    trace_kinds: Optional[Sequence[str]] = None,
     factory: Optional[Callable] = None,
     telemetry: bool = False,
     attribution: bool = False,
 ) -> AppRun:
     """Run one app on one emulator for ``duration_ms`` of simulated time.
 
-    ``trace_kinds`` narrows instrumentation for speed; ``factory``
-    overrides the emulator constructor (used for the §5.4 ablations).
-    ``telemetry`` attaches the observability stack (tracer + registry +
-    self-profiler) and captures a picklable
+    ``factory`` overrides the emulator constructor (used for the §5.4
+    ablations). ``telemetry`` attaches the observability stack (registry +
+    self-profiler, exporting the run's event ring) and captures a picklable
     :class:`~repro.obs.fleet.TelemetrySnapshot` onto the returned
     :class:`AppRun` — observability only reads the clock, so the
     simulated results are bit-identical either way.
@@ -81,12 +79,12 @@ def run_app(
     """
     sim = Simulator()
     machine = build_machine(sim, machine_spec)
-    trace = TraceLog(kinds=list(trace_kinds) if trace_kinds is not None else None)
     obs = None
     if telemetry or attribution:
         from repro.obs import Observability
 
         obs = Observability(sim)
+    trace = obs.tracer if obs is not None else TraceLog(sim)
     make = factory if factory is not None else EMULATOR_FACTORIES[emulator_name]
     rng = random.Random(seed)
     if obs is not None:

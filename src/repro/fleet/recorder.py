@@ -38,11 +38,12 @@ from typing import Any, Callable, Dict, List, Mapping, Optional
 from repro.obs.events import EventLog
 from repro.obs.export import chrome_trace
 from repro.obs.registry import MetricsRegistry
-from repro.obs.span import Span, Tracer
+from repro.sim.tracing import TraceEvent, TraceLog
 
-#: Default span-retention ring: enough for every lifecycle span of a
-#: quick run; long runs wrap and count drops instead of growing.
-DEFAULT_SPAN_CAP = 65_536
+#: Default event-ring cap (spans and instants together): enough for every
+#: lifecycle event of a quick run; long runs wrap and count drops instead
+#: of growing.
+DEFAULT_SPAN_CAP = 131_072
 
 #: Virtual-time cadence (ms) between live-dashboard re-renders.
 DEFAULT_CADENCE_MS = 1_000.0
@@ -71,8 +72,7 @@ class FlightRecorder:
             raise ValueError("an enabled FlightRecorder needs the fleet clock")
         self.enabled = enabled
         self._clock = clock
-        self.tracer = Tracer(clock, max_spans=max_spans) if enabled \
-            else Tracer(enabled=False)
+        self.tracer = TraceLog(clock, max_spans=max_spans)
         self.events = events if events is not None else EventLog(clock)
         self.registry = MetricsRegistry(enabled=enabled)
         #: Live-dashboard hook: called with this recorder every
@@ -271,13 +271,13 @@ class FlightRecorder:
                             worker=worker_name)
         self.events.emit("worker.fence", worker=worker_name)
 
-    def drain_started(self, worker_name: str) -> Optional[Span]:
+    def drain_started(self, worker_name: str) -> Optional[TraceEvent]:
         if not self.enabled:
             return None
         return self.tracer.begin("worker.drain", "supervisor", cat="fleet",
                                  worker=worker_name)
 
-    def drain_finished(self, worker_name: str, span: Optional[Span],
+    def drain_finished(self, worker_name: str, span: Optional[TraceEvent],
                        evacuated: int, lost: int, timed_out: bool) -> None:
         if not self.enabled:
             return
@@ -323,7 +323,7 @@ class FlightRecorder:
     def track_groups(self) -> Dict[str, str]:
         """Chrome pid grouping: control plane vs the worker pool."""
         groups = {track: "service" for track in _SERVICE_TRACKS}
-        for span in list(self.tracer.spans) + list(self.tracer.instants):
+        for span in self.tracer.spans() + self.tracer.instants():
             if span.track.startswith("worker."):
                 groups.setdefault(span.track, "workers")
         return groups
@@ -338,8 +338,8 @@ class FlightRecorder:
         """Recorder bookkeeping for the run report (additive section)."""
         return {
             "events": len(self.events),
-            "spans": len(self.tracer.spans),
-            "instants": len(self.tracer.instants),
+            "spans": len(self.tracer.spans()),
+            "instants": len(self.tracer.instants()),
             "dropped_spans": self.tracer.dropped_spans,
             "flows": len(self.tracer.flows()),
             "metrics": self.registry.to_dict(),
@@ -349,7 +349,7 @@ class FlightRecorder:
         self.events.close()
 
     # -- internals -----------------------------------------------------------
-    def _point(self, name: str, track: str, flow: int = 0, **args: Any) -> Span:
+    def _point(self, name: str, track: str, flow: int = 0, **args: Any) -> TraceEvent:
         """A zero-duration lifecycle span (flows bind to slices, so these
         are 'X' events rather than instants)."""
         span = self.tracer.begin(name, track, cat="fleet", flow=flow, **args)

@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import Any, Callable, Generator, Optional, Tuple
 
 from repro.errors import ConfigurationError, TransportDropError
-from repro.obs.span import NO_FLOW
 from repro.sim import RetryPolicy, Simulator, Timeout, retrying
+from repro.sim.tracing import NO_FLOW, TraceLog
 
 #: Optional fault hook: called once per kick with ``(transport, batch_size)``.
 #: Return ``None`` for a clean kick, ``("drop",)`` to lose the kick after its
@@ -39,6 +39,7 @@ class VirtioTransport:
         sim: Simulator,
         kick_cost: float = 0.02,
         per_command_cost: float = 0.005,
+        trace: Optional[TraceLog] = None,
         obs=None,
     ):
         if kick_cost < 0 or per_command_cost < 0:
@@ -48,6 +49,7 @@ class VirtioTransport:
 
             obs = DISABLED
         self._obs = obs
+        self._trace = trace if trace is not None else TraceLog(sim)
         self._sim = sim
         self.kick_cost = kick_cost
         self.per_command_cost = per_command_cost
@@ -75,9 +77,8 @@ class VirtioTransport:
         :attr:`amortized_cost` keeps its meaning under fault injection.
         ``flow`` stamps the kick's trace span with the frame it carries.
         """
-        tracer = self._obs.tracer
-        span = tracer.begin("transport.kick", "transport", cat="transport",
-                            flow=flow, batch=batch_size)
+        span = self._trace.begin("transport.kick", "transport", cat="transport",
+                                 flow=flow, batch=batch_size)
         cost = self.dispatch_cost(batch_size)
         self.kick_attempts += 1
         verdict = self.fault_hook(self, batch_size) if self.fault_hook is not None else None
@@ -90,13 +91,13 @@ class VirtioTransport:
             yield Timeout(cost)
         if verdict is not None and verdict[0] == "drop":
             self.kicks_dropped += 1
-            tracer.end(span, dropped=True)
+            self._trace.end(span, dropped=True)
             raise TransportDropError(
                 f"kick of {batch_size} command(s) lost across the boundary"
             )
         self.kicks += 1
         self.commands += batch_size
-        tracer.end(span)
+        self._trace.end(span)
         registry = self._obs.registry
         registry.counter("transport.kicks").inc()
         registry.counter("transport.commands").inc(batch_size)

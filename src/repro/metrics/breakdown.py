@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.metrics.collectors import maintenances
 from repro.metrics.stats import summarize
 from repro.sim.tracing import TraceLog
 
@@ -48,9 +49,13 @@ def frame_budget_report(trace: TraceLog, duration_ms: float) -> FrameBudgetRepor
     report = FrameBudgetReport(duration_ms=duration_ms)
 
     per_op: Dict[tuple, List[float]] = {}
-    for record in trace.of_kind("host.op_retired"):
-        key = (record["vdev"], record["op"])
-        per_op.setdefault(key, []).append(float(record["queue_delay"]))
+    compensation = 0  # int 0 when nothing was compensated, as sum() of none gives
+    for event in trace:
+        if event.cat == "exec":
+            key = (event["vdev"], event["op"])
+            per_op.setdefault(key, []).append(float(event["queue_delay"]))
+        elif event.cat == "stage" and event["compensation"] > 0:
+            compensation += float(event["compensation"])
     for (vdev, op), delays in sorted(per_op.items()):
         report.ops.append(OpBreakdown(
             vdev=vdev,
@@ -59,14 +64,15 @@ def frame_budget_report(trace: TraceLog, duration_ms: float) -> FrameBudgetRepor
             mean_queue_delay_ms=sum(delays) / len(delays),
         ))
 
-    coherence = [float(v) for v in trace.values("coherence.maintenance", "duration")]
+    copies = maintenances(trace)
+    coherence = [float(e["duration"]) for e in copies]
     if coherence:
         report.coherence_summary = summarize(coherence)
-    for record in trace.of_kind("coherence.maintenance"):
-        path = record.get("path", "unknown")
+    for event in copies:
+        path = event.get("path", "unknown")
         report.coherence_by_path[path] = report.coherence_by_path.get(path, 0) + 1
 
-    access = [float(v) for v in trace.values("svm.access_latency", "latency")]
+    access = [float(v) for v in trace.values("svm.begin_access", "latency")]
     if access:
         report.access_latency_summary = summarize(access)
 
@@ -74,9 +80,7 @@ def frame_budget_report(trace: TraceLog, duration_ms: float) -> FrameBudgetRepor
     if slack:
         report.slack_summary = summarize(slack)
 
-    report.compensation_total_ms = sum(
-        float(v) for v in trace.values("svm.compensation", "compensation")
-    )
+    report.compensation_total_ms = compensation
     return report
 
 

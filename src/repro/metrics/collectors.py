@@ -5,7 +5,8 @@
 * :class:`LatencyCollector` — motion-to-photon samples: presentation time
   minus the frame's birth (capture / arrival) time.
 * :class:`SvmStats` — post-hoc digestion of a :class:`TraceLog` into the
-  Table 2 metrics (access latency, coherence cost, throughput).
+  Table 2 metrics (access latency, coherence cost, throughput);
+  :func:`maintenances` is the coherence-maintenance view they share.
 * :class:`ResilienceStats` — fault/retry/degradation accounting from the
   ``fault.*``, ``retry.backoff`` and ``coherence.degrade/restore`` records
   a chaos run leaves behind.
@@ -16,8 +17,18 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.metrics.stats import mean, percentile
-from repro.sim.tracing import TraceLog
+from repro.sim.tracing import TraceEvent, TraceLog
 from repro.units import SECOND
+
+#: Span kinds of coherence copies. A copy that landed ends with a
+#: ``duration`` (its maintenance cost) and a ``path``; one that failed
+#: ends with ``failed`` or ``path="failed"`` instead.
+COPY_KINDS = ("coherence.copy", "prefetch.copy")
+
+
+def maintenances(trace: TraceLog) -> List[TraceEvent]:
+    """Every coherence maintenance that landed, in completion order."""
+    return [e for e in trace if e.kind in COPY_KINDS and "duration" in e.fields]
 
 
 class FpsCollector:
@@ -102,10 +113,10 @@ class SvmStats:
         self.duration_ms = duration_ms
 
     def access_latencies(self) -> List[float]:
-        return [float(v) for v in self.trace.values("svm.access_latency", "latency")]
+        return [float(v) for v in self.trace.values("svm.begin_access", "latency")]
 
     def coherence_durations(self) -> List[float]:
-        return [float(v) for v in self.trace.values("coherence.maintenance", "duration")]
+        return [float(e.fields["duration"]) for e in maintenances(self.trace)]
 
     def slack_intervals(self) -> List[float]:
         return [float(v) for v in self.trace.values("svm.slack", "slack")]
@@ -122,7 +133,7 @@ class SvmStats:
         """Total SVM bytes accessed / duration (§5.2's definition, minus
         data wasted by prefetch failures — wasted copies are traced as
         maintenances, not accesses, so they are excluded by construction)."""
-        total = sum(int(v) for v in self.trace.values("svm.access_latency", "bytes"))
+        total = sum(int(v) for v in self.trace.values("svm.begin_access", "bytes"))
         if self.duration_ms <= 0:
             return 0.0
         return total / self.duration_ms
@@ -154,7 +165,7 @@ class ResilienceStats:
 
     @property
     def prefetch_failures(self) -> int:
-        return self.trace.count("prefetch.failed")
+        return sum(1 for e in self.trace.of_kind("prefetch.copy") if "failed" in e.fields)
 
     @property
     def crashes(self) -> int:
@@ -184,11 +195,11 @@ class ResilienceStats:
 
     def degrade_events(self) -> List[tuple]:
         """(time, level) for each escalation, in time order."""
-        return [(r.time, r["level"]) for r in self.trace.of_kind("coherence.degrade")]
+        return [(r.end, r["level"]) for r in self.trace.of_kind("coherence.degrade")]
 
     def restore_events(self) -> List[tuple]:
         """(time, level) for each restoration, in time order."""
-        return [(r.time, r["level"]) for r in self.trace.of_kind("coherence.restore")]
+        return [(r.end, r["level"]) for r in self.trace.of_kind("coherence.restore")]
 
     def time_in_degraded_mode(self, end_ms: float) -> float:
         """Total ms the coherence ladder sat above level 0.
@@ -196,10 +207,7 @@ class ResilienceStats:
         Walks the interleaved degrade/restore records; a run still degraded
         at ``end_ms`` accrues until then.
         """
-        events = sorted(
-            [(r.time, r["level"]) for r in self.trace.of_kind("coherence.degrade")]
-            + [(r.time, r["level"]) for r in self.trace.of_kind("coherence.restore")]
-        )
+        events = sorted(self.degrade_events() + self.restore_events())
         total = 0.0
         entered: Optional[float] = None
         for time, level in events:

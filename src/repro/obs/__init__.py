@@ -2,10 +2,11 @@
 
 One import point for the three pillars:
 
-* **causal tracing** (:mod:`repro.obs.span`) — spans with parent links and
-  a propagated per-frame *flow id*, so one frame's journey across guest
-  driver, transport, SVM, coherence, prefetch, fences and presentation is
-  a single connected trace;
+* **causal tracing** — spans and instants in the run's one event ring
+  (:class:`~repro.sim.tracing.TraceLog`, also named :class:`Tracer`)
+  with a propagated per-frame *flow id*, so one frame's journey across
+  guest driver, transport, SVM, coherence, prefetch, fences and
+  presentation is a single connected trace;
 * **metrics** (:mod:`repro.obs.registry`) — named counters/gauges/
   histograms with label sets and deterministic bounded sampling;
 * **self-profiling** (:mod:`repro.obs.profile`) — kernel hooks attributing
@@ -14,12 +15,12 @@ One import point for the three pillars:
 plus the exporters (:mod:`repro.obs.export`) that turn all of it into a
 Chrome ``trace_event`` / Perfetto JSON file and a metrics JSON file.
 
-The :class:`Observability` context bundles one tracer + registry +
-profiler so a single ``obs=`` handle threads through emulator factories
-and components. The module-level :data:`DISABLED` instance is the default
-everywhere: it hands out null tracer/registry, registers no kernel hooks,
-and makes every instrumentation site a cheap no-op — results are identical
-with observability on or off.
+The :class:`Observability` context bundles the run's event ring, a
+registry and a profiler so a single ``obs=`` handle threads through
+emulator factories and components. The ring records on every run; the
+module-level :data:`DISABLED` instance, the default everywhere, carries no
+ring of its own, hands out the null registry and registers no kernel
+hooks — results are identical with observability on or off.
 """
 
 from __future__ import annotations
@@ -68,7 +69,8 @@ from repro.obs.registry import (
     NULL_REGISTRY,
 )
 from repro.obs.slo import SloReport, SloSpec, evaluate_frames, fleet_burn
-from repro.obs.span import NO_FLOW, NULL_SPAN, NULL_TRACER, Span, Tracer
+from repro.obs.span import Tracer
+from repro.sim.tracing import NO_FLOW, TraceEvent, TraceLog
 
 __all__ = [
     "BUDGET_CATEGORIES",
@@ -80,8 +82,6 @@ __all__ = [
     "NO_FLOW",
     "NULL_INSTRUMENT",
     "NULL_REGISTRY",
-    "NULL_SPAN",
-    "NULL_TRACER",
     "Counter",
     "DISABLED",
     "FleetAggregator",
@@ -95,8 +95,8 @@ __all__ = [
     "SentinelReport",
     "SloReport",
     "SloSpec",
-    "Span",
     "TelemetrySnapshot",
+    "TraceEvent",
     "Tracer",
     "TruncatedTraceError",
     "align_frames",
@@ -119,9 +119,10 @@ __all__ = [
 
 
 class Observability:
-    """Tracer + metrics registry + self-profiler as one handle.
+    """Event ring + metrics registry + self-profiler as one handle.
 
-    Construct with a simulator to observe a run::
+    Construct with a simulator to observe a run; the emulator then records
+    into :attr:`tracer`::
 
         obs = Observability(sim)
         emulator = make_vsoc(sim, machine, obs=obs)
@@ -129,7 +130,8 @@ class Observability:
         trace = obs.export_trace(track_groups=emulator.track_groups())
 
     Construct with no simulator (or use :data:`DISABLED`) for the inert
-    variant components default to.
+    variant components default to; it has no ring (``tracer`` is None).
+    ``max_spans`` caps the ring (see :class:`~repro.sim.tracing.TraceLog`).
     """
 
     def __init__(self, sim=None, profile: bool = True,
@@ -138,9 +140,7 @@ class Observability:
         self.sim = sim
         enabled = sim is not None
         self.enabled = enabled
-        self.tracer = (
-            Tracer(sim, max_spans=max_spans) if enabled else NULL_TRACER
-        )
+        self.tracer = TraceLog(sim, max_spans=max_spans) if enabled else None
         self.registry = (
             MetricsRegistry(reservoir=reservoir) if enabled else NULL_REGISTRY
         )
@@ -158,13 +158,10 @@ class Observability:
     def export_trace(
         self,
         track_groups: Optional[Mapping[str, str]] = None,
-        tracelog=None,
     ) -> Dict[str, Any]:
         """Chrome/Perfetto trace dict for this run (see :func:`chrome_trace`)."""
-        end = self.sim.now if self.sim is not None else None
         return chrome_trace(
-            self.tracer, track_groups=track_groups, tracelog=tracelog,
-            end_time=end,
+            self.tracer, track_groups=track_groups, end_time=self.sim.now,
         )
 
     def export_metrics(self, extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:

@@ -39,6 +39,7 @@ from math import fsum
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
+from repro.sim.tracing import TraceLog
 
 #: Budget categories, in sweep-priority order (earlier wins overlaps).
 #: ``sched_slack`` is the implicit remainder — time inside the frame
@@ -68,7 +69,7 @@ _EXEC_SUFFIX = "/exec"
 class TruncatedTraceError(ReproError):
     """Attribution refused: the tracer's ring cap evicted spans.
 
-    A ring-mode tracer (``Tracer(max_spans=...)``) drops its oldest spans
+    A capped event ring (``TraceLog(max_spans=...)``) drops its oldest events
     on overflow, so any flow may silently be missing its early causality
     — attributing what remains would under-charge categories and break
     conservation.  The analyzer refuses loudly instead of guessing.
@@ -289,8 +290,8 @@ def _context_rank(name: str, cat: str) -> int:
 def _frame_budget(flow: int, spans: Sequence[Any], presented: Any) -> FrameBudget:
     """Partition one frame's latency window via an exact interval sweep."""
     present = float(presented.start)
-    latency = float((presented.args or {}).get("latency", 0.0))
-    sequence = int((presented.args or {}).get("sequence", 0))
+    latency = float(presented.fields.get("latency", 0.0))
+    sequence = int(presented.fields.get("sequence", 0))
     lo = present - latency
 
     # (start, end, priority, span_id, category, device) for chargeable
@@ -305,13 +306,13 @@ def _frame_budget(flow: int, spans: Sequence[Any], presented: Any) -> FrameBudge
         b = min(end, present)
         if b <= a:
             continue
-        category, priority = _classify(span.name, span.cat)
-        device = _span_device(span.name, span.cat, span.track)
+        category, priority = _classify(span.kind, span.cat)
+        device = _span_device(span.kind, span.cat, span.track)
         if category is not None:
             charge.append((a, b, priority, span.span_id, category, device))
         if device is not None:
             context.append(
-                (a, b, _context_rank(span.name, span.cat), span.span_id, device)
+                (a, b, _context_rank(span.kind, span.cat), span.span_id, device)
             )
 
     if latency <= 0.0:
@@ -373,19 +374,19 @@ def _critical_path(spans: Sequence[Any], presented: Any) -> Tuple[PathStep, ...]
     identical path.
     """
     present = float(presented.start)
-    latency = float((presented.args or {}).get("latency", 0.0))
+    latency = float(presented.fields.get("latency", 0.0))
     lo = present - latency
 
     nodes: List[Tuple[float, float, int, str, str]] = []
     for span in spans:
-        if span is presented or span.name.startswith("stage:"):
+        if span is presented or span.kind.startswith("stage:"):
             continue
         end = present if span.end is None else float(span.end)
         a = max(float(span.start), lo)
         b = min(end, present)
         if b <= a:
             continue
-        nodes.append((a, b, span.span_id, span.name, span.track))
+        nodes.append((a, b, span.span_id, span.kind, span.track))
     nodes.sort(key=lambda n: (n[0], n[2]))
 
     n = len(nodes)
@@ -421,30 +422,28 @@ def _critical_path(spans: Sequence[Any], presented: Any) -> Tuple[PathStep, ...]
 # Entry points
 # ---------------------------------------------------------------------------
 
-def analyze_tracer(tracer: Any) -> LatencyBudget:
+def analyze_tracer(tracer: TraceLog) -> LatencyBudget:
     """Fold every presented frame in ``tracer`` into a :class:`LatencyBudget`.
 
     Raises :class:`TruncatedTraceError` when the tracer ran in ring mode
     and evicted spans — a truncated flow cannot be attributed honestly.
     """
-    dropped = getattr(tracer, "dropped_spans", 0)
+    dropped = tracer.dropped_spans
     if dropped:
-        cap = getattr(tracer, "max_spans", None)
         raise TruncatedTraceError(
             f"tracer dropped {dropped} span(s) to its ring cap "
-            f"(max_spans={cap}); flows may be missing their early causality, "
-            "so latency attribution would be unsound — rerun without "
+            f"(max_spans={tracer.max_spans}); flows may be missing their "
+            "early causality, so latency attribution would be unsound — rerun without "
             "max_spans (or with a larger cap) to attribute this trace"
         )
 
     frames: List[FrameBudget] = []
     skipped: List[int] = []
     worst: Optional[Tuple[float, int, Sequence[Any], Any]] = None
-    for flow in tracer.flows():
-        spans = tracer.spans_of_flow(flow)
+    for flow, spans in tracer.by_flow().items():
         presented = None
         for span in spans:
-            if span.name == "frame.presented":
+            if span.kind == "frame.presented":
                 presented = span  # keep the last present of the flow
         if presented is None:
             skipped.append(flow)

@@ -1,6 +1,6 @@
 """Streaming structured event log for the fleet flight recorder.
 
-Spans (:mod:`repro.obs.span`) answer *where simulated time went*; the
+Spans (:mod:`repro.sim.tracing`) answer *where simulated time went*; the
 event log answers *what the control plane decided and when*. It is the
 durable, incremental artifact of a fleet run:
 

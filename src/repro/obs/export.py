@@ -14,9 +14,9 @@ The trace exporter follows the Trace Event Format that both
 
 Timestamps convert from simulated milliseconds to the format's
 microseconds. :func:`validate_chrome_trace` is the schema check CI runs on
-the exported artifact; :func:`tracelog_events` digests a classic
-:class:`~repro.sim.tracing.TraceLog` into instant events so pre-span
-instrumentation shows up in the same timeline.
+the exported artifact. The export is the run's whole event ring: records
+(events without a track of their own) appear as instants on the shared
+``trace`` track.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ import json
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.obs.registry import MetricsRegistry
-from repro.obs.span import NO_FLOW, Span, Tracer
-from repro.sim.tracing import TraceLog
+from repro.sim.tracing import NO_FLOW, TraceEvent, TraceLog
 
 #: Track group (= Chrome pid) used when no mapping is provided.
 DEFAULT_GROUP = "host"
@@ -88,15 +87,15 @@ class _TrackTable:
 _BIND_KEYS = ("bind_id", "flow_out", "flow_in")
 
 
-def _span_event(span: Span, pid: int, tid: int, end_time: float) -> Dict[str, Any]:
+def _span_event(span: TraceEvent, pid: int, tid: int, end_time: float) -> Dict[str, Any]:
     end = span.end if span.end is not None else end_time
-    args = {k: _jsonable(v) for k, v in span.args.items()
+    args = {k: _jsonable(v) for k, v in span.fields.items()
             if k not in _BIND_KEYS}
     if span.flow != NO_FLOW:
         args["flow"] = span.flow
     event = {
         "ph": "X",
-        "name": span.name,
+        "name": span.kind,
         "cat": span.cat,
         "ts": span.start * _MS_TO_US,
         "dur": max(0.0, end - span.start) * _MS_TO_US,
@@ -104,22 +103,22 @@ def _span_event(span: Span, pid: int, tid: int, end_time: float) -> Dict[str, An
         "tid": tid,
         "args": args,
     }
-    if "bind_id" in span.args:
-        event["bind_id"] = _jsonable(span.args["bind_id"])
+    if "bind_id" in span.fields:
+        event["bind_id"] = _jsonable(span.fields["bind_id"])
         for key in ("flow_out", "flow_in"):
-            if span.args.get(key):
+            if span.fields.get(key):
                 event[key] = True
     return event
 
 
-def _instant_event(span: Span, pid: int, tid: int) -> Dict[str, Any]:
-    args = {k: _jsonable(v) for k, v in span.args.items()}
+def _instant_event(span: TraceEvent, pid: int, tid: int) -> Dict[str, Any]:
+    args = {k: _jsonable(v) for k, v in span.fields.items()}
     if span.flow != NO_FLOW:
         args["flow"] = span.flow
     return {
         "ph": "i",
         "s": "t",
-        "name": span.name,
+        "name": span.kind,
         "cat": span.cat,
         "ts": span.start * _MS_TO_US,
         "pid": pid,
@@ -129,7 +128,7 @@ def _instant_event(span: Span, pid: int, tid: int) -> Dict[str, Any]:
 
 
 def _flow_events(
-    flow: int, spans: List[Span], table: _TrackTable
+    flow: int, spans: List[TraceEvent], table: _TrackTable
 ) -> List[Dict[str, Any]]:
     """The s/t/f chain binding one flow's spans into an arrow sequence."""
     if len(spans) < 2:
@@ -154,72 +153,32 @@ def _flow_events(
     return events
 
 
-def tracelog_events(
-    log: TraceLog, table: _TrackTable, track_field: str = "vdev"
-) -> List[Dict[str, Any]]:
-    """Digest classic TraceLog records into instant events.
-
-    Records carrying a ``vdev`` field land on that virtual device's track;
-    everything else goes to a shared ``trace`` track. This keeps legacy
-    instrumentation visible in the exported timeline without porting every
-    call site to spans.
-    """
-    events: List[Dict[str, Any]] = []
-    for record in log:
-        track = str(record.get(track_field) or "trace")
-        pid, tid = table.ids_for(track)
-        events.append({
-            "ph": "i",
-            "s": "t",
-            "name": record.kind,
-            "cat": "tracelog",
-            "ts": record.time * _MS_TO_US,
-            "pid": pid,
-            "tid": tid,
-            "args": {k: _jsonable(v) for k, v in record.fields.items()},
-        })
-    return events
-
-
 def chrome_trace(
-    tracer: Tracer,
+    tracer: TraceLog,
     track_groups: Optional[Mapping[str, str]] = None,
-    tracelog: Optional[TraceLog] = None,
     end_time: Optional[float] = None,
 ) -> Dict[str, Any]:
-    """Export a tracer (and optionally a TraceLog) as a Chrome trace dict.
+    """Export an event ring as a Chrome trace dict.
 
     ``track_groups`` maps track names to their process group (physical
     device); unmapped tracks join the ``host`` group. ``end_time`` clamps
     spans still open at export time (defaults to the latest span edge).
     """
     table = _TrackTable(track_groups)
+    spans = tracer.spans()
     if end_time is None:
         end_time = 0.0
-        for span in tracer.spans:
+        for span in spans:
             end_time = max(end_time, span.end if span.end is not None else span.start)
     events: List[Dict[str, Any]] = []
-    for span in tracer.spans:
+    for span in spans:
         pid, tid = table.ids_for(span.track)
         events.append(_span_event(span, pid, tid, end_time))
-    for span in tracer.instants:
+    for span in tracer.instants():
         pid, tid = table.ids_for(span.track)
         events.append(_instant_event(span, pid, tid))
-    # Single pass over the spans to group by flow (equivalent to calling
-    # spans_of_flow per flow, but O(spans) instead of O(flows × spans) —
-    # a fleet trace has one flow per session, so the quadratic walk bites).
-    by_flow: Dict[int, List[Span]] = {}
-    for span in tracer.spans:
-        if span.flow != NO_FLOW:
-            by_flow.setdefault(span.flow, []).append(span)
-    for span in tracer.instants:
-        if span.flow != NO_FLOW:
-            by_flow.setdefault(span.flow, []).append(span)
-    for flow in sorted(by_flow):
-        chain = sorted(by_flow[flow], key=lambda s: (s.start, s.span_id))
+    for flow, chain in tracer.by_flow().items():
         events.extend(_flow_events(flow, chain, table))
-    if tracelog is not None:
-        events.extend(tracelog_events(tracelog, table))
     # Stable sort on ts only: flow events are appended in chain order, so
     # s → t → f survives timestamp ties (a (ts, pid, tid) key would not).
     events.sort(key=lambda e: e.get("ts", 0.0))
@@ -341,7 +300,7 @@ def write_metrics(path: str, metrics: Dict[str, Any]) -> None:
 
 
 def connected_flows(
-    tracer: Tracer, required_names: Iterable[str]
+    tracer: TraceLog, required_names: Iterable[str]
 ) -> List[int]:
     """Flow ids whose span chain touches every name in ``required_names``.
 
@@ -352,8 +311,8 @@ def connected_flows(
     """
     required = list(required_names)
     found: List[int] = []
-    for flow in tracer.flows():
-        names = {s.name for s in tracer.spans_of_flow(flow)}
+    for flow, chain in tracer.by_flow().items():
+        names = {s.kind for s in chain}
         if all(any(name == r or name.startswith(r) for name in names) for r in required):
             found.append(flow)
     return found

@@ -204,7 +204,7 @@ class TelemetrySnapshot:
                 resumes=tuple(sorted(profiler.resumes.items())),
             )
         digest = None
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             digest = _digest_tracer(tracer)
         return cls(
             meta=_labels_key(meta or {}),
@@ -276,21 +276,23 @@ class TelemetrySnapshot:
 
 def _digest_tracer(tracer) -> TraceDigest:
     per_name: Dict[str, List[float]] = {}
-    for span in tracer.spans:
+    spans = tracer.spans()
+    instants = tracer.instants()
+    for span in spans:
         duration = span.duration if span.duration is not None else 0.0
-        stat = per_name.setdefault(span.name, [0, 0.0, 0.0])
+        stat = per_name.setdefault(span.kind, [0, 0.0, 0.0])
         stat[0] += 1
         stat[1] += duration
         stat[2] = max(stat[2], duration)
-    for span in tracer.instants:
-        stat = per_name.setdefault(span.name, [0, 0.0, 0.0])
+    for span in instants:
+        stat = per_name.setdefault(span.kind, [0, 0.0, 0.0])
         stat[0] += 1
     kept = sorted(per_name.items(), key=lambda kv: (-kv[1][1], kv[0]))
     dropped = max(0, len(kept) - TRACE_DIGEST_CAP)
     kept = sorted(kept[:TRACE_DIGEST_CAP])
     return TraceDigest(
-        spans=len(tracer.spans),
-        instants=len(tracer.instants),
+        spans=len(spans),
+        instants=len(instants),
         flows=len(tracer.flows()),
         names=tuple(
             SpanNameStat(name, count, total, peak)

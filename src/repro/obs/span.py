@@ -1,233 +1,13 @@
-"""Span-based causal tracing over the deterministic sim clock.
+"""The span API's name for the run's event ring.
 
-A :class:`Span` is a named interval of simulated time on a *track* (one
-virtual device, executor thread, or host subsystem). Spans carry:
-
-* a ``span_id`` / ``parent_id`` pair — intra-track call nesting;
-* a ``flow`` id — the cross-device causal thread. One camera frame gets
-  one flow id at birth and every span it touches anywhere in the stack
-  (guest driver, transport kick, SVM access, coherence copy, prefetch,
-  fence, presentation) is stamped with it, so the exported trace shows a
-  single connected arrow chain per frame.
-
-The :class:`Tracer` is the factory and sink. It never yields, sleeps, or
-consults randomness — opening and closing spans only reads ``sim.now`` —
-so instrumentation cannot perturb a run: simulated results are identical
-with tracing enabled or disabled (tests assert this bit-for-bit).
-
-A disabled tracer (``Tracer(enabled=False)``, or :data:`NULL_TRACER` when
-no simulator is at hand) allocates nothing: every ``begin`` returns the
-shared :data:`NULL_SPAN` sentinel and every other method is a no-op, so
-un-observed runs pay a single predicate per instrumentation site.
+Spans, instants and flows are written to and read from
+:class:`~repro.sim.tracing.TraceLog`, the one event ring of a run (see
+that module). ``Tracer`` is the same class under its span-side name:
+``perfbench/layers.py`` charges host time to the ``obs.tracer`` layer by
+wrapping methods of ``repro.obs.span:Tracer``, so the name stays
+importable here.
 """
 
-from __future__ import annotations
+from repro.sim.tracing import TraceLog
 
-from collections import deque
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
-
-#: Flow id meaning "not part of any flow" (falsy on purpose).
-NO_FLOW = 0
-
-
-class Span:
-    """One named interval of simulated time on one track."""
-
-    __slots__ = ("name", "cat", "track", "start", "end", "span_id", "parent_id",
-                 "flow", "args")
-
-    def __init__(
-        self,
-        name: str,
-        cat: str,
-        track: str,
-        start: float,
-        span_id: int,
-        parent_id: int = 0,
-        flow: int = NO_FLOW,
-        args: Optional[Dict[str, Any]] = None,
-    ):
-        self.name = name
-        self.cat = cat
-        self.track = track
-        self.start = start
-        self.end: Optional[float] = None
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.flow = flow
-        self.args: Dict[str, Any] = args if args is not None else {}
-
-    @property
-    def duration(self) -> Optional[float]:
-        """Span length in ms, or None while still open."""
-        if self.end is None:
-            return None
-        return self.end - self.start
-
-    @property
-    def finished(self) -> bool:
-        return self.end is not None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        dur = f"{self.duration:.3f}ms" if self.finished else "open"
-        return f"<Span {self.name!r} track={self.track} flow={self.flow} {dur}>"
-
-
-class _NullSpan(Span):
-    """The shared sentinel a disabled tracer hands out."""
-
-    def __init__(self) -> None:
-        super().__init__("null", "null", "null", 0.0, 0)
-
-
-#: Singleton no-op span; ``tracer.end(NULL_SPAN)`` is a no-op.
-NULL_SPAN = _NullSpan()
-
-
-class Tracer:
-    """Span factory + sink bound to one simulator clock.
-
-    ``sim`` may be ``None`` only for a disabled tracer. Finished *and*
-    still-open spans live in :attr:`spans` (exporters clamp open spans to
-    the export time); :attr:`instants` holds zero-duration point events.
-
-    ``max_spans`` bounds retention (mirroring ``TraceLog``'s ring mode):
-    spans and instants each keep only the newest ``max_spans`` entries,
-    evicting the oldest, and :attr:`dropped_spans` counts every eviction —
-    so a multi-hour fleet run cannot grow tracer memory without bound.
-    The default (``None``) retains everything, unchanged from before.
-    """
-
-    def __init__(self, sim=None, enabled: bool = True,
-                 max_spans: Optional[int] = None):
-        if enabled and sim is None:
-            raise ValueError("an enabled Tracer needs a simulator for its clock")
-        if max_spans is not None and max_spans < 1:
-            raise ValueError(f"max_spans must be >= 1, got {max_spans}")
-        self._sim = sim
-        self.enabled = enabled
-        self.max_spans = max_spans
-        if max_spans is None:
-            self.spans: List[Span] = []
-            self.instants: List[Span] = []
-        else:
-            self.spans = deque(maxlen=max_spans)  # type: ignore[assignment]
-            self.instants = deque(maxlen=max_spans)  # type: ignore[assignment]
-        self.dropped_spans = 0
-        self._next_span = 1
-        self._next_flow = 1
-
-    def _append(self, store, span: Span) -> None:
-        if self.max_spans is not None and len(store) == self.max_spans:
-            self.dropped_spans += 1  # deque evicts the oldest on append
-        store.append(span)
-
-    # -- flows -------------------------------------------------------------
-    def new_flow(self) -> int:
-        """Allocate a fresh flow id (one per causal thread, e.g. per frame)."""
-        if not self.enabled:
-            return NO_FLOW
-        flow = self._next_flow
-        self._next_flow += 1
-        return flow
-
-    # -- spans -------------------------------------------------------------
-    def begin(
-        self,
-        name: str,
-        track: str,
-        cat: str = "span",
-        flow: int = NO_FLOW,
-        parent: Optional[Span] = None,
-        **args: Any,
-    ) -> Span:
-        """Open a span at ``sim.now``; close it with :meth:`end`."""
-        if not self.enabled:
-            return NULL_SPAN
-        span = Span(
-            name,
-            cat,
-            track,
-            self._sim.now,
-            self._alloc_id(),
-            parent_id=parent.span_id if parent is not None else 0,
-            flow=flow,
-            args=dict(args) if args else None,
-        )
-        self._append(self.spans, span)
-        return span
-
-    def end(self, span: Span, **args: Any) -> None:
-        """Close a span at ``sim.now`` (no-op for :data:`NULL_SPAN`)."""
-        if span is NULL_SPAN or not self.enabled:
-            return
-        span.end = self._sim.now
-        if args:
-            span.args.update(args)
-
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        track: str,
-        cat: str = "span",
-        flow: int = NO_FLOW,
-        parent: Optional[Span] = None,
-        **args: Any,
-    ) -> Iterator[Span]:
-        """Context-manager form for non-yielding critical sections.
-
-        Only safe around code that never ``yield``s control back to the
-        simulator *if* strict nesting on the track matters; the simulated
-        timestamps themselves are always correct either way.
-        """
-        span = self.begin(name, track, cat=cat, flow=flow, parent=parent, **args)
-        try:
-            yield span
-        finally:
-            self.end(span)
-
-    def instant(
-        self, name: str, track: str, cat: str = "instant",
-        flow: int = NO_FLOW, **args: Any,
-    ) -> None:
-        """Record a zero-duration point event (fence signals, drops, ...)."""
-        if not self.enabled:
-            return
-        span = Span(
-            name, cat, track, self._sim.now, self._alloc_id(),
-            flow=flow, args=dict(args) if args else None,
-        )
-        span.end = span.start
-        self._append(self.instants, span)
-
-    # -- introspection -----------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.spans) + len(self.instants)
-
-    def spans_of_flow(self, flow: int) -> List[Span]:
-        """Every span and instant stamped with ``flow``, in start order."""
-        found = [s for s in self.spans if s.flow == flow]
-        found += [s for s in self.instants if s.flow == flow]
-        found.sort(key=lambda s: (s.start, s.span_id))
-        return found
-
-    def flows(self) -> List[int]:
-        """Flow ids that stamped at least one span, ascending."""
-        seen = {s.flow for s in self.spans if s.flow != NO_FLOW}
-        seen |= {s.flow for s in self.instants if s.flow != NO_FLOW}
-        return sorted(seen)
-
-    def clear(self) -> None:
-        self.spans.clear()
-        self.instants.clear()
-
-    def _alloc_id(self) -> int:
-        span_id = self._next_span
-        self._next_span += 1
-        return span_id
-
-
-#: Shared disabled tracer for components constructed without observability.
-NULL_TRACER = Tracer(enabled=False)
+Tracer = TraceLog

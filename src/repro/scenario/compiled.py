@@ -122,7 +122,7 @@ class GraphApp(App):
                 meta = FrameMeta(
                     birth=sim.now,
                     sequence=self._sequence,
-                    flow=emulator.obs.tracer.new_flow(),
+                    flow=emulator.trace.new_flow(),
                 )
                 self._sequence += 1
                 if not self._pending.try_put(meta):

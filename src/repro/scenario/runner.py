@@ -120,12 +120,12 @@ def run_scenario(
 
     sim = Simulator()
     machine = build_machine(sim, compiled.machine_spec)
-    trace = TraceLog()
     obs = None
     if attribution:
         from repro.obs import Observability
 
         obs = Observability(sim)
+    trace = obs.tracer if obs is not None else TraceLog(sim)
     make = EMULATOR_FACTORIES[compiled.emulator]
     rng = random.Random(compiled.seed)
     if obs is not None:

@@ -11,7 +11,7 @@ Public surface:
 * :class:`~repro.sim.kernel.Process` — a generator-based coroutine.
 * :mod:`~repro.sim.primitives` — ``Timeout``, ``SimEvent``, ``AllOf``,
   ``Semaphore``, ``Mutex``, ``FifoQueue``.
-* :mod:`~repro.sim.tracing` — structured trace records.
+* :mod:`~repro.sim.tracing` — the event ring (spans, instants, records).
 """
 
 from repro.sim.eventq import HeapEventQueue
@@ -26,7 +26,7 @@ from repro.sim.primitives import (
     Waitable,
 )
 from repro.sim.resilience import Deadline, RetryPolicy, retrying, with_deadline
-from repro.sim.tracing import TraceLog, TraceRecord
+from repro.sim.tracing import TraceEvent, TraceLog
 
 __all__ = [
     "Simulator",
@@ -41,7 +41,7 @@ __all__ = [
     "Mutex",
     "FifoQueue",
     "TraceLog",
-    "TraceRecord",
+    "TraceEvent",
     "RetryPolicy",
     "retrying",
     "Deadline",

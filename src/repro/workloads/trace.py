@@ -21,7 +21,7 @@ from typing import Any, Dict, Generator, List, Optional
 
 from repro.emulators.base import Emulator
 from repro.errors import ConfigurationError
-from repro.metrics.collectors import SvmStats
+from repro.metrics.collectors import SvmStats, maintenances
 from repro.sim import Simulator, Timeout
 from repro.sim.tracing import TraceLog
 
@@ -108,16 +108,16 @@ def record_workload(trace_log: TraceLog, name: str = "recorded") -> WorkloadTrac
     for record in trace_log:
         if record.kind == "svm.alloc":
             sizes[record["region"]] = int(record["size"])
-            events.append(TraceEvent(record.time, "alloc", record["region"],
+            events.append(TraceEvent(record.end, "alloc", record["region"],
                                      nbytes=int(record["size"])))
         elif record.kind == "svm.free":
-            events.append(TraceEvent(record.time, "free", record["region"]))
+            events.append(TraceEvent(record.end, "free", record["region"]))
         elif record.kind == "svm.write_retired":
-            events.append(TraceEvent(record.time, "write", record["region"],
-                                     vdev=record["vdev"], nbytes=int(record["bytes"])))
-        elif record.kind == "svm.access_latency" and record["usage"] == "ro":
-            events.append(TraceEvent(record.time, "read", record["region"],
-                                     vdev=record["vdev"], nbytes=int(record["bytes"])))
+            events.append(TraceEvent(record.end, "write", record["region"],
+                                     vdev=record.track, nbytes=int(record["bytes"])))
+        elif record.kind == "svm.begin_access" and record["usage"] == "ro":
+            events.append(TraceEvent(record.end, "read", record["region"],
+                                     vdev=record.track, nbytes=int(record["bytes"])))
     events.sort(key=lambda e: e.time)
     return WorkloadTrace(name=name, events=events)
 
@@ -187,7 +187,7 @@ def replay_workload(
     spec = machine_spec if machine_spec is not None else HIGH_END_DESKTOP
     sim = Simulator()
     machine = build_machine(sim, spec)
-    log = TraceLog()
+    log = TraceLog(sim)
     emulator = EMULATOR_FACTORIES[emulator_name](
         sim, machine, trace=log, rng=random.Random(seed)
     )
@@ -196,7 +196,7 @@ def replay_workload(
 
     stats = SvmStats(log, trace.duration_ms or 1.0)
     coherence = stats.coherence_durations()
-    copied = sum(int(r["bytes"]) for r in log.of_kind("coherence.maintenance"))
+    copied = sum(int(r["bytes"]) for r in maintenances(log))
     return ReplayResult(
         trace_name=trace.name,
         emulator=emulator_name,

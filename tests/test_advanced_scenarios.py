@@ -7,6 +7,7 @@ from repro.hw import build_machine
 from repro.hw.bus import Bus
 from repro.hw.device import DeviceKind, OpCost, PhysicalDevice
 from repro.hw.memory import MemoryPool
+from repro.metrics.collectors import maintenances
 from repro.sim import Simulator, Timeout
 from repro.units import GIB, MIB, UHD_FRAME_BYTES, gb_per_s
 
@@ -144,7 +145,7 @@ def test_window_narrowing_reduces_coherence_bytes():
 
     sim.spawn(pipeline(), name="windowed")
     sim.run(until=1_000.0)
-    copies = emulator.trace.of_kind("coherence.maintenance")
+    copies = maintenances(emulator.trace)
     assert copies
     assert all(c["bytes"] == MIB for c in copies)
     assert all(c["duration"] < 0.5 for c in copies)  # 1 MiB, not 16

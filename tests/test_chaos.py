@@ -12,7 +12,7 @@ import pytest
 from repro.core.degradation import LEVEL_GUEST_ROUNDTRIP, LEVEL_PREFETCHED
 from repro.experiments.chaos import run_chaos
 from repro.faults import FaultPlan
-from repro.metrics.collectors import ResilienceStats
+from repro.metrics.collectors import ResilienceStats, maintenances
 
 DURATION_MS = 6_000.0
 
@@ -45,7 +45,7 @@ def test_default_scenario_enters_and_exits_degraded_mode(chaos_run):
     degrades = trace.of_kind("coherence.degrade")
     restores = trace.of_kind("coherence.restore")
     assert degrades and restores
-    assert degrades[0].time < restores[-1].time
+    assert degrades[0].end < restores[-1].end
     # The last restore lands back on the fully optimized path.
     assert restores[-1]["level"] == LEVEL_PREFETCHED
 
@@ -65,7 +65,7 @@ def test_faults_trigger_retries_and_failures(chaos_run):
 
 def _trace_tuples(result):
     return [
-        (r.time, r.kind, tuple(sorted(r.fields.items()))) for r in result.trace
+        (r.end, r.kind, tuple(sorted(r.fields.items()))) for r in result.trace
     ]
 
 
@@ -93,7 +93,7 @@ def test_relentless_copy_faults_escalate_to_guest_roundtrip():
     assert LEVEL_GUEST_ROUNDTRIP in degrade_levels
     # Maintenance demonstrably ran on the degraded round-trip path.
     degraded_paths = [
-        r for r in trace.of_kind("coherence.maintenance")
+        r for r in maintenances(trace)
         if str(r["path"]).endswith("-degraded")
     ]
     assert degraded_paths
@@ -133,8 +133,8 @@ def test_device_crash_run_completes_and_readmits_every_device(crash_run):
     readmits = crash_run.trace.of_kind("recovery.readmit")
     assert len(readmits) == 2
     # Re-admission happens no earlier than crash time + downtime.
-    assert readmits[0].time >= 1_500.0 + 400.0
-    assert readmits[1].time >= 3_000.0 + 300.0
+    assert readmits[0].end >= 1_500.0 + 400.0
+    assert readmits[1].end >= 3_000.0 + 300.0
 
 
 def test_device_crash_frame_drop_is_bounded(crash_run, baseline_run):

@@ -10,6 +10,7 @@ from repro.core.coherence import (
 from repro.core.region import GUEST_LOCATION, HOST_LOCATION, SvmRegion
 from repro.errors import ConfigurationError
 from repro.hw import build_machine
+from repro.metrics.collectors import maintenances
 from repro.sim import Simulator
 from repro.sim.tracing import TraceLog
 from repro.units import UHD_FRAME_BYTES
@@ -20,7 +21,7 @@ def setup():
     sim = Simulator()
     machine = build_machine(sim)
     planner = CopyPlanner(sim, machine)
-    trace = TraceLog()
+    trace = TraceLog(sim)
     return sim, machine, planner, trace
 
 
@@ -106,7 +107,7 @@ def test_write_invalidate_copies_at_read(setup):
     sim.run()
     assert p.value > 2.0  # blocked for the pcie copy
     assert region.is_valid_at("gpu")
-    assert len(trace.of_kind("coherence.maintenance")) == 1
+    assert len(maintenances(trace)) == 1
 
 
 def test_write_invalidate_free_when_valid(setup):
@@ -121,7 +122,7 @@ def test_write_invalidate_free_when_valid(setup):
     p = sim.spawn(read())
     sim.run()
     assert p.value == 0.0
-    assert len(trace.of_kind("coherence.maintenance")) == 0
+    assert len(maintenances(trace)) == 0
 
 
 # --- GuestMemoryWriteInvalidate ----------------------------------------------
@@ -142,11 +143,11 @@ def test_guest_memory_two_crossings(setup):
     region = SvmRegion(1, UHD_FRAME_BYTES)
     region.note_write("codec", HOST_LOCATION, UHD_FRAME_BYTES)
     run_guest_memory_cycle(sim, protocol, region, "codec", "gpu", "gpu")
-    maintenances = trace.of_kind("coherence.maintenance")
-    assert len(maintenances) == 1
+    copies = maintenances(trace)
+    assert len(copies) == 1
     # flush + fetch: two boundary crossings of the frame (§2.2).
     expected = 2 * planner.estimate_boundary(UHD_FRAME_BYTES)
-    assert maintenances[0]["duration"] == pytest.approx(expected, rel=0.05)
+    assert copies[0]["duration"] == pytest.approx(expected, rel=0.05)
 
 
 def test_guest_memory_isolates_virtual_devices(setup):
@@ -158,7 +159,7 @@ def test_guest_memory_isolates_virtual_devices(setup):
     region.note_write("gpu", "gpu", UHD_FRAME_BYTES)
     # display shares the physical GPU but is a distinct virtual device
     run_guest_memory_cycle(sim, protocol, region, "gpu", "display", "gpu")
-    assert len(trace.of_kind("coherence.maintenance")) == 1
+    assert len(maintenances(trace)) == 1
 
 
 def test_guest_memory_same_vdev_rereads_free(setup):
@@ -174,7 +175,7 @@ def test_guest_memory_same_vdev_rereads_free(setup):
 
     sim.spawn(cycle())
     sim.run()
-    assert len(trace.of_kind("coherence.maintenance")) == 0  # writer rereads own data
+    assert len(maintenances(trace)) == 0  # writer rereads own data
 
 
 def test_guest_memory_cpu_flush_is_free(setup):

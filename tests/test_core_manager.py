@@ -21,7 +21,7 @@ def manager_setup():
     machine = build_machine(sim)
     planner = CopyPlanner(sim, machine)
     twin = TwinHypergraphs(VDEVS, [HOST_LOCATION, "gpu", "guest"])
-    trace = TraceLog()
+    trace = TraceLog(sim)
     protocol = UnifiedWriteInvalidate(sim, planner, trace)
     pools = {HOST_LOCATION: machine.host_memory, "gpu": machine.gpu.local_memory,
              "guest": machine.guest_memory}

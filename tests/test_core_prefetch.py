@@ -7,6 +7,7 @@ from repro.core.prefetch import PrefetchEngine
 from repro.core.region import HOST_LOCATION, SvmRegion
 from repro.core.twin import TwinHypergraphs
 from repro.hw import build_machine
+from repro.metrics.collectors import maintenances
 from repro.sim import Simulator
 from repro.sim.tracing import TraceLog
 from repro.units import UHD_FRAME_BYTES
@@ -20,7 +21,7 @@ def engine_setup():
     machine = build_machine(sim)
     planner = CopyPlanner(sim, machine)
     twin = TwinHypergraphs(VDEV_LOCATIONS.keys(), [HOST_LOCATION, "gpu", "guest"])
-    trace = TraceLog()
+    trace = TraceLog(sim)
     engine = PrefetchEngine(sim, twin, planner, VDEV_LOCATIONS.get, trace)
     return sim, machine, twin, engine, trace
 
@@ -54,7 +55,7 @@ def test_warm_flow_launches_prefetch(engine_setup):
     assert region.prefetch_targets == {"gpu"}
     sim.run()
     assert region.is_valid_at("gpu")
-    records = trace.of_kind("coherence.maintenance")
+    records = maintenances(trace)
     assert records and records[0]["path"] == "prefetch"
 
 

@@ -14,6 +14,7 @@ from repro.emulators import (
 )
 from repro.errors import CapabilityError, ConfigurationError
 from repro.hw import build_machine
+from repro.metrics.collectors import maintenances
 from repro.sim import Simulator, Timeout
 from repro.units import MIB, UHD_FRAME_BYTES
 
@@ -178,10 +179,10 @@ def test_write_invalidate_read_blocks():
 def test_baseline_coherence_via_guest_memory():
     sim, gae = make(make_gae)
     run_write_read(sim, gae, slack=14.0)
-    maintenances = gae.trace.of_kind("coherence.maintenance")
-    assert len(maintenances) == 1
-    assert maintenances[0]["path"] == "guest-memory"
-    assert maintenances[0]["duration"] > 6.0  # two boundary crossings
+    copies = maintenances(gae.trace)
+    assert len(copies) == 1
+    assert copies[0]["path"] == "guest-memory"
+    assert copies[0]["duration"] > 6.0  # two boundary crossings
 
 
 def test_flow_control_completes_per_stage():

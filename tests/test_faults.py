@@ -128,7 +128,7 @@ def test_bus_load_events_fire_on_schedule():
     sim.run(until=100.0)
     assert machine.pcie.effective_bandwidth == pytest.approx(machine.pcie.bandwidth * 0.25)
     records = trace.of_kind("fault.bus_load")
-    assert len(records) == 1 and records[0].time == pytest.approx(50.0)
+    assert len(records) == 1 and records[0].end == pytest.approx(50.0)
 
 
 def test_unknown_bus_raises():
@@ -281,7 +281,7 @@ def _chaos_machine_run(seed):
 
     sim.spawn(traffic(), name="traffic")
     sim.run()
-    return [(r.time, r.kind, tuple(sorted(r.fields.items()))) for r in trace]
+    return [(r.end, r.kind, tuple(sorted(r.fields.items()))) for r in trace]
 
 
 def test_same_plan_and_seed_give_identical_traces():

@@ -113,11 +113,13 @@ def test_tracer_ring_cap_bounds_spans_and_counts_drops():
         span = tracer.begin(f"s{i}", "t")
         tracer.end(span)
         tracer.instant(f"i{i}", "t")
-    assert len(tracer.spans) == 4
-    assert len(tracer.instants) == 4
-    assert tracer.dropped_spans == 12  # 6 from each store
-    # The ring keeps the newest spans.
-    assert [s.name for s in tracer.spans] == ["s6", "s7", "s8", "s9"]
+    # One cap covers spans and instants together: 20 events, 4 kept.
+    assert len(tracer) == 4
+    assert tracer.dropped_spans == 16
+    # The ring keeps the newest events.
+    assert [e.kind for e in tracer] == ["s8", "i8", "s9", "i9"]
+    assert [s.kind for s in tracer.spans()] == ["s8", "s9"]
+    assert [s.kind for s in tracer.instants()] == ["i8", "i9"]
 
 
 def test_tracer_ring_cap_validated_and_off_by_default():
@@ -127,7 +129,7 @@ def test_tracer_ring_cap_validated_and_off_by_default():
     unbounded = Tracer(clock)
     for i in range(100):
         unbounded.end(unbounded.begin(f"s{i}", "t"))
-    assert len(unbounded.spans) == 100
+    assert len(unbounded.spans()) == 100
     assert unbounded.dropped_spans == 0
 
 
@@ -293,7 +295,7 @@ def test_null_recorder_is_inert():
     NULL_RECORDER.confirmed("sX")  # all hooks are no-ops
     NULL_RECORDER.control_tick(0, 1.0, 0)
     assert len(NULL_RECORDER.events) == 0
-    assert len(NULL_RECORDER.tracer.spans) == 0
+    assert len(NULL_RECORDER.tracer.spans()) == 0
 
 
 # ---------------------------------------------------------------------------

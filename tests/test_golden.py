@@ -6,7 +6,10 @@ digests were recorded once and must not move: a change that alters any
 FPS/latency number of the small app grid, any number of the quick
 ``fleetserve`` report, or any number of an overloaded fleet run (the only
 one here whose workers' service factor moves off 1.0), fails here. A deliberate model change updates the
-pinned value in the same commit and says why.
+pinned value in the same commit and says why. The trace-derived pin
+covers the numbers read back from the event ring rather than from the
+apps: SVM access/coherence/slack samples, the frame-budget breakdown and
+the resilience accounting of one faulted run.
 """
 
 import hashlib
@@ -23,6 +26,7 @@ from repro.scenario.runner import app_digest
 APP_GRID_DIGEST = "fbfd192dbdec2dcb535f29b74dbdee0d64d9828f676a9d05bf6d96ed738ef4e8"
 FLEETSERVE_QUICK_DIGEST = "18ca845a96f109acfa53ccb7cdf3f130251b8113c590c2b36411a2ff01f6e648"
 OVERLOADED_FLEET_DIGEST = "56e2b2f5ce798a42031737f1da9190c14c8d6e9968d55afcf5457d9aa6a3ad8a"
+TRACE_NUMBERS_DIGEST = "c6119c8f7fa408aebb1a2e142fd18950a17d4745c2af77955456e95cd848bac2"
 
 
 def _sha256_canonical(report):
@@ -58,3 +62,54 @@ def test_overloaded_fleet_report_digest_is_pinned():
     stats = report["summary"]["stats"]
     assert stats["rebalances"] > 0 and stats["evacuations"] > 0
     assert _sha256_canonical(report) == OVERLOADED_FLEET_DIGEST
+
+
+def _trace_fault_plan():
+    """Walks the degradation ladder both ways, retries copies, drops kicks
+    and crashes one virtual device, all inside 2 s."""
+    from repro.faults import FaultPlan
+
+    return (
+        FaultPlan()
+        .flap_bus("pcie", start_ms=400.0, period_ms=300.0, cycles=3, high_load=0.85)
+        .copy_faults(500.0, 1_400.0, probability=0.7, bus="pcie")
+        .transport_faults(600.0, 1_200.0, drop_probability=0.25)
+        .crash_device(900.0, "codec", downtime_ms=200.0)
+    )
+
+
+def _trace_numbers():
+    """Every number the trace-reading consumers derive, for a small grid."""
+    from dataclasses import asdict
+
+    from repro.experiments.chaos import run_chaos
+    from repro.metrics.breakdown import frame_budget_report
+    from repro.metrics.collectors import ResilienceStats
+
+    out = {}
+    for factory in (ArApp, UhdVideoApp):
+        for emulator in ("vSoC", "QEMU-KVM"):
+            run = run_app(factory(), emulator, duration_ms=2_000.0, seed=0)
+            stats = run.stats
+            out[f"{run.result.app}/{emulator}"] = {
+                "access_latencies": stats.access_latencies(),
+                "coherence_durations": stats.coherence_durations(),
+                "slack_intervals": stats.slack_intervals(),
+                "throughput": stats.throughput_bytes_per_ms(),
+                "breakdown": asdict(frame_budget_report(run.emulator.trace, 2_000.0)),
+            }
+    chaos = run_chaos("vSoC", duration_ms=2_000.0, seed=0,
+                      plan=_trace_fault_plan(), keep_trace=True)
+    resilience = ResilienceStats(chaos.trace)
+    out["chaos"] = {
+        "summary": resilience.summary(),
+        "time_in_degraded_mode": resilience.time_in_degraded_mode(2_000.0),
+    }
+    return out
+
+
+def test_trace_derived_numbers_are_pinned():
+    numbers = _trace_numbers()
+    chaos = numbers["chaos"]["summary"]
+    assert chaos["degrades"] > 0 and chaos["retries"] > 0 and chaos["crashes"] > 0
+    assert _sha256_canonical(numbers) == TRACE_NUMBERS_DIGEST

@@ -56,7 +56,7 @@ def test_dirty_window_narrows_access(hal_setup):
 
     sim.spawn(proc())
     sim.run()
-    records = emulator.trace.of_kind("svm.access_latency")
+    records = emulator.trace.of_kind("svm.begin_access")
     assert records[-1]["bytes"] == MIB
 
 

@@ -129,7 +129,7 @@ def test_full_app_run_is_bitwise_deterministic():
         sim.run(until=4_000.0)
         return (
             tuple(app.fps.present_times),
-            tuple(emulator.trace.values("svm.access_latency", "latency")),
+            tuple(emulator.trace.values("svm.begin_access", "latency")),
         )
 
     assert collect() == collect()

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from repro.errors import ConfigurationError
 from repro.metrics import FpsCollector, LatencyCollector, cdf_points, mean, percentile, summarize
 from repro.metrics.collectors import SvmStats
+from repro.sim import Simulator
 from repro.sim.tracing import TraceLog
 
 
@@ -114,10 +115,15 @@ def test_latency_collector():
 # --- SvmStats -------------------------------------------------------------------
 
 def test_svm_stats_from_trace():
-    trace = TraceLog()
-    trace.record(1.0, "svm.access_latency", latency=0.3, bytes=1000)
-    trace.record(2.0, "svm.access_latency", latency=0.5, bytes=3000)
-    trace.record(3.0, "coherence.maintenance", duration=2.4)
+    sim = Simulator()
+    trace = TraceLog(sim)
+    for latency, nbytes in ((0.3, 1000), (0.5, 3000)):
+        access = trace.begin("svm.begin_access", "gpu", bytes=nbytes)
+        trace.end(access, latency=latency)
+    copy = trace.begin("coherence.copy", "coherence")
+    trace.end(copy, path="sync-miss", duration=2.4)
+    failed = trace.begin("prefetch.copy", "prefetch")
+    trace.end(failed, failed="BusError")  # a copy that never landed
     trace.record(4.0, "svm.slack", slack=17.2)
     stats = SvmStats(trace, duration_ms=10.0)
     assert stats.average_access_latency() == pytest.approx(0.4)

@@ -14,8 +14,6 @@ from repro.metrics.stats import percentile
 from repro.obs import (
     DISABLED,
     NULL_REGISTRY,
-    NULL_SPAN,
-    NULL_TRACER,
     MetricsRegistry,
     Observability,
     Tracer,
@@ -45,44 +43,14 @@ def test_tracer_spans_and_flows():
 
     sim.spawn(proc())
     sim.run(until=10.0)
-    assert len(tracer.spans) == 1
-    assert len(tracer.instants) == 1
-    span = tracer.spans[0]
+    assert len(tracer.spans()) == 1
+    assert len(tracer.instants()) == 1
+    span = tracer.spans()[0]
     assert span.start == 0.0 and span.end == 5.0 and span.duration == 5.0
-    assert span.args["duration"] == 5.0
+    assert span.fields["duration"] == 5.0
     chain = tracer.spans_of_flow(flow)
-    assert [s.name for s in chain] == ["stage:decode", "frame.presented"]
+    assert [s.kind for s in chain] == ["stage:decode", "frame.presented"]
     assert tracer.flows() == [flow]
-
-
-def test_tracer_requires_sim_when_enabled():
-    with pytest.raises(ValueError):
-        Tracer()
-
-
-def test_disabled_tracer_records_nothing():
-    tracer = NULL_TRACER
-    assert tracer.new_flow() == 0
-    span = tracer.begin("anything", "track", flow=7, data=1)
-    assert span is NULL_SPAN
-    tracer.end(span, more=2)
-    tracer.instant("evt", "track")
-    assert len(tracer) == 0
-    assert tracer.flows() == []
-
-
-def test_span_context_manager():
-    sim = Simulator()
-    tracer = Tracer(sim)
-
-    def proc():
-        with tracer.span("critical", "host"):
-            pass
-        yield Timeout(1.0)
-
-    sim.spawn(proc())
-    sim.run(until=2.0)
-    assert tracer.spans[0].finished
 
 
 # -- metrics registry ---------------------------------------------------------
@@ -295,14 +263,17 @@ def test_connected_flows_matches_by_prefix():
 
 
 def test_tracelog_digestion_into_trace():
+    # Records live in the same ring as spans, so the export carries them
+    # as instants on the shared record track — no second export path.
     sim, tracer, _ = _traced_run()
-    log = TraceLog()
-    log.record(1.0, "host.op_retired", vdev="gpu", op="render")
-    trace = chrome_trace(tracer, tracelog=log, end_time=sim.now)
+    tracer.record(1.0, "svm.alloc", region=3, size=64)
+    trace = chrome_trace(tracer, end_time=sim.now)
     assert validate_chrome_trace(trace) == []
-    digested = [e for e in trace["traceEvents"] if e.get("cat") == "tracelog"]
-    assert len(digested) == 1
-    assert digested[0]["name"] == "host.op_retired"
+    records = [e for e in trace["traceEvents"] if e.get("cat") == "record"]
+    assert len(records) == 1
+    assert records[0]["name"] == "svm.alloc" and records[0]["ph"] == "i"
+    assert records[0]["args"] == {"region": 3, "size": 64}
+    assert not [e for e in trace["traceEvents"] if e.get("cat") == "tracelog"]
 
 
 def test_metrics_json_bundles_profile_and_extra():
@@ -320,7 +291,7 @@ def test_metrics_json_bundles_profile_and_extra():
 
 def test_observability_disabled_is_inert():
     assert not DISABLED.enabled
-    assert DISABLED.tracer is NULL_TRACER
+    assert DISABLED.tracer is None
     assert DISABLED.registry is NULL_REGISTRY
     assert DISABLED.profiler is None
     DISABLED.map_devices({"gpu": "x"})  # no-op, no crash
@@ -352,22 +323,21 @@ def test_tracelog_index_consistency():
     assert log.values("a", "v") == list(range(10))
     assert [r.kind for r in log.of_kind("b")] == ["b"] * 10
     assert log.kind_counts() == {"a": 10, "b": 10}
-    assert log.recorded_total == 20
+    assert len(log) == 20
 
 
 def test_tracelog_ring_mode_evicts_oldest():
-    log = TraceLog(max_records=5)
+    log = TraceLog(max_spans=5)
     for i in range(12):
         log.record(float(i), "k", v=i)
     assert len(log) == 5
-    assert log.dropped_records == 7
-    assert log.recorded_total == 12
+    assert log.dropped_spans == 7
     assert log.values("k", "v") == [7, 8, 9, 10, 11]
     assert log.count("k") == 5
 
 
 def test_tracelog_ring_mode_keeps_index_in_sync_across_kinds():
-    log = TraceLog(max_records=3)
+    log = TraceLog(max_spans=3)
     log.record(0.0, "a")
     log.record(1.0, "b")
     log.record(2.0, "a")
@@ -376,12 +346,12 @@ def test_tracelog_ring_mode_keeps_index_in_sync_across_kinds():
     assert log.kind_counts() == {"a": 1, "c": 2}
     assert log.count("b") == 0
     assert log.of_kind("b") == []
-    assert [r.time for r in log.of_kind("a")] == [2.0]
+    assert [r.end for r in log.of_kind("a")] == [2.0]
 
 
 def test_tracelog_rejects_nonpositive_capacity():
     with pytest.raises(ValueError):
-        TraceLog(max_records=0)
+        TraceLog(max_spans=0)
 
 
 # -- end-to-end: observed emulator runs ---------------------------------------
@@ -391,9 +361,8 @@ def _run_video(obs=None, duration_ms=1_500.0):
 
     sim = Simulator()
     machine = build_machine(sim, HIGH_END_DESKTOP)
-    trace = TraceLog()
     emulator = EMULATOR_FACTORIES["vSoC"](
-        sim, machine, trace=trace, rng=random.Random(0), obs=obs
+        sim, machine, rng=random.Random(0), obs=obs
     )
     app = UhdVideoApp()
     assert app.install(sim, emulator)
@@ -412,8 +381,11 @@ def test_observed_run_is_bit_identical_and_connected():
     machine = build_machine(sim, HIGH_END_DESKTOP)
     obs = Observability(sim)
     emulator = EMULATOR_FACTORIES["vSoC"](
-        sim, machine, trace=TraceLog(), rng=random.Random(0), obs=obs
+        sim, machine, rng=random.Random(0), obs=obs
     )
+    assert emulator.trace is obs.tracer  # one ring per run
+    with pytest.raises(ConfigurationError):
+        EMULATOR_FACTORIES["vSoC"](sim, machine, trace=TraceLog(sim), obs=obs)
     app = UhdVideoApp()
     app.fps.attach_registry(obs.registry)
     assert app.install(sim, emulator)
@@ -450,7 +422,7 @@ def test_observed_run_is_bit_identical_and_connected():
 def test_disabled_observability_adds_zero_records():
     sim, emulator, _ = _run_video(obs=None)
     assert emulator.obs is DISABLED
-    assert len(DISABLED.tracer) == 0
+    assert DISABLED.tracer is None
     assert len(DISABLED.registry) == 0
 
 
